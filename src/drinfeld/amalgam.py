@@ -28,7 +28,6 @@ from .fingroup import (
 )
 from .mat2 import (
     Mat2,
-    PolyRing,
     borel_mat,
     mat_over_polys,
     poly_ring,
@@ -166,22 +165,6 @@ def word_matrix(F, letters):
     return m
 
 
-def letter_inverse(letter):
-    if isinstance(letter, ConstLetter):
-        return _const_from_mat(letter.matrix().inv())
-    F = letter.corner.F
-    ai, bi = F.inv(letter.alpha), F.inv(letter.beta)
-    return BorelLetter(ai, bi, letter.corner.scale(F.neg(F.mul(ai, bi))))
-
-
-def word_inverse(letters):
-    return normalize_letters([letter_inverse(l) for l in reversed(letters)])
-
-
-def word_product(w1, w2):
-    return normalize_letters(list(w1) + list(w2))
-
-
 def matrix_to_word(m):
     """Decompose a unit-determinant polynomial matrix into letters.
 
@@ -298,8 +281,7 @@ class TableHom:
     length.  const_table maps 4-tuples of field elements to target codes.
     """
 
-    def __init__(self, F, kind, target, const_table, pre_tables, cyc_tables=None,
-                 validate=True):
+    def __init__(self, F, kind, target, const_table, pre_tables, cyc_tables=None):
         if kind not in ("SL", "GL"):
             raise DomainError("kind must be 'SL' or 'GL'")
         self.F = F
@@ -315,8 +297,7 @@ class TableHom:
         self.pre_len = len(self.pre_tables)
         self.cyc_len = len(self.cyc_tables)
         self.conductor = self._conductor()
-        if validate:
-            self.validate()
+        self.validate()
 
     # -- structure
 
@@ -529,7 +510,7 @@ def t_power_cycle(R):
         i += 1
 
 
-def reduction_as_table_hom(R, kind="SL", validate=True):
+def reduction_as_table_hom(R, kind="SL"):
     """Rebuild entrywise reduction as translation tables, for cross-checking.
 
     The image of T(c t^i) depends on t^i modulo the modulus, which is
@@ -556,15 +537,7 @@ def reduction_as_table_hom(R, kind="SL", validate=True):
         key = (int(a), int(b), int(c), int(d))
         m = mat_over_polys(F, key)
         const_table[key] = int(mat_code(reduce_mat(m, R)))
-    return TableHom(F, kind, target, const_table, pre_tables, cyc_tables,
-                    validate=validate)
-
-
-def t_power_reduction_hom(F, m, kind="SL"):
-    """Reduction modulo t^m as a native reduction hom."""
-    if m < 1:
-        raise DomainError("the exponent must be at least 1")
-    return ReductionHom(residue_ring(t_power(F, m)), kind)
+    return TableHom(F, kind, target, const_table, pre_tables, cyc_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -639,7 +612,7 @@ def hom_to_json(hom):
     raise DomainError(f"cannot serialize hom {hom!r}")
 
 
-def hom_from_json(data, validate=True):
+def hom_from_json(data):
     kind = data.get("type")
     if kind == "reduction":
         F = field_from_label(data["field"])
@@ -661,6 +634,5 @@ def hom_from_json(data, validate=True):
             const_table,
             data["pre_tables"],
             data.get("cyc_tables"),
-            validate=validate,
         )
     raise DomainError(f"unknown hom type {kind!r}")

@@ -16,7 +16,6 @@ from itertools import combinations
 
 from .amalgam import (
     BorelLetter,
-    ConstLetter,
     TableHom,
     matrix_to_word,
     reduction_as_table_hom,
@@ -608,6 +607,18 @@ def _coordinate_shifts(F):
 def refute_genuineness(handle, config=DEFAULT_CONFIG):
     """Search for a corner map making the handle's subgroup congruence.
 
+    A handle that is congruence already needs no map; any other starts
+    the corner-map search from the quasi-level the decision derived.
+    """
+    base = is_congruence(handle, config)
+    if base.congruence:
+        return RefutationOutcome("already_congruence", None, base, 0)
+    return corner_map_search(handle, base.quasi_level, config)
+
+
+def corner_map_search(handle, ql, config=DEFAULT_CONFIG):
+    """Corner-map search for a non-congruence handle with quasi-level ql.
+
     Candidate maps send a basis of the quasi-level onto monomial sets.
     Each candidate is applied in full and the congruence decision rerun;
     a hit is a machine-checkable certificate that the subgroup is not
@@ -616,9 +627,6 @@ def refute_genuineness(handle, config=DEFAULT_CONFIG):
     the outcome does not depend on the coordinate the handle happens to
     be written in; those hits certify with a two-step composite.
     """
-    base = is_congruence(handle, config)
-    if base.congruence:
-        return RefutationOutcome("already_congruence", None, base, 0)
     F = handle.F
     if F.n != 1:
         return RefutationOutcome("not_applicable", None, None, 0)
@@ -627,14 +635,14 @@ def refute_genuineness(handle, config=DEFAULT_CONFIG):
         if tried >= config.search_budget:
             break
         if prefix is None:
-            shifted, ql = handle, base.quasi_level
+            shifted, shifted_ql = handle, ql
         else:
             try:
                 shifted = apply_auto(prefix, handle, config)
-                ql = quasi_level(shifted, config)
+                shifted_ql = quasi_level(shifted, config)
             except CapExceeded:
                 continue
-        d, has_one, basis_polys, cands = _corner_candidates(F, ql)
+        d, has_one, basis_polys, cands = _corner_candidates(F, shifted_ql)
         for combo in cands:
             if tried >= config.search_budget:
                 break

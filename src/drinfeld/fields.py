@@ -211,20 +211,6 @@ class FieldSpec:
                 return g
         raise AssertionError("no generator found")
 
-    def element_order(self, a):
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise DomainError("zero has no multiplicative order")
-        o = 1
-        x = a
-        while x != 1:
-            x = self.mul(x, a)
-            o += 1
-        return o
-
-    def char_str(self, a):
-        return DIGIT_CHARS[a]
-
     def __repr__(self):
         return f"FieldSpec({self.label})"
 

@@ -220,15 +220,6 @@ def derived_subgroup(G, arr, cap=DEFAULT_GROUP_CAP):
     return normal_closure(G, gens, comms, cap)
 
 
-def is_abelian_subset(G, arr):
-    gens = small_generating_set(G, arr)
-    for i, a in enumerate(gens):
-        for b in gens[i + 1:]:
-            if G.mul(a, b) != G.mul(b, a):
-                return False
-    return True
-
-
 def prime_factors(n):
     out = []
     d = 2
@@ -241,45 +232,6 @@ def prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def abelian_invariants(G, H, N):
-    """Elementary divisors of the abelian quotient H/N as sorted prime powers.
-
-    Works entirely by counting solutions of x^(p^j) in N, so the quotient
-    group is never materialized.  N must be normal in H with H/N abelian.
-    """
-    H = np.unique(np.asarray(H, dtype=np.int64))
-    N = np.unique(np.asarray(N, dtype=np.int64))
-    qsize = H.size // N.size
-    if H.size % N.size:
-        raise DomainError("normal subgroup size does not divide the subgroup size")
-    invs = []
-    for p in prime_factors(qsize):
-        logs = [0]
-        j = 1
-        while True:
-            powed = pow_arr(G, H, p**j)
-            cj = int(np.isin(powed, N).sum())
-            if cj % N.size:
-                raise DomainError("quotient is not a group: is N normal in H?")
-            m = cj // N.size
-            s = 0
-            while m > 1:
-                if m % p:
-                    raise DomainError("quotient is not abelian: counts are off")
-                m //= p
-                s += 1
-            logs.append(s)
-            if logs[-1] == logs[-2]:
-                break
-            j += 1
-        deltas = [logs[i + 1] - logs[i] for i in range(len(logs) - 2)]
-        if deltas:
-            for i in range(1, deltas[0] + 1):
-                lam = sum(1 for d in deltas if d >= i)
-                invs.append(p**lam)
-    return tuple(sorted(invs))
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +350,6 @@ class ProductGroup(FinGroup):
         mask = c2 == self.G2.identity_code()
         return np.unique(c1[mask])
 
-    def second_projection(self, arr):
-        _, c2 = self.unpack(np.asarray(arr, dtype=np.int64))
-        return np.unique(c2)
-
-    def first_projection(self, arr):
-        c1, _ = self.unpack(np.asarray(arr, dtype=np.int64))
-        return np.unique(c1)
-
 
 class AdditiveQuotientGroup(FinGroup):
     """The additive group F_q^n / W on base-q packed non-pivot coordinates."""
@@ -451,13 +395,6 @@ class AdditiveQuotientGroup(FinGroup):
         for c in reversed(coords):
             code = code * self.q + c
         return code
-
-    def code_to_coords(self, code):
-        out = []
-        for _ in range(self.k):
-            out.append(int(code % self.q))
-            code //= self.q
-        return tuple(out)
 
     def vector_to_code(self, vec):
         """Quotient image of an ambient coordinate vector."""

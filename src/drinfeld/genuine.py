@@ -7,6 +7,11 @@ obstruction), and finally the corner-map refutation search.  Every verdict
 records which rules were consulted, and a Genuine outcome always carries a
 certificate that can be rechecked from the stored facts alone.
 
+The quasi-level and the congruence report are derived once per handle and
+shared: the codimension filter reads the quasi-level (even when a cap
+stopped the congruence decision), and the refutation search starts from
+it instead of re-deciding congruence.
+
 Outcomes read as statements about the handle's subgroup H inside its
 ambient matrix group X:
 
@@ -21,10 +26,10 @@ ambient matrix group X:
 from dataclasses import dataclass
 from math import gcd
 
-from .autos import refutation_to_json, refute_genuineness
+from .autos import corner_map_search, refutation_to_json
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, field
+from .fields import DIGIT_CHARS, _is_prime, field
 from .fingroup import (
     QuotientGroup,
     composition_factors,
@@ -37,8 +42,8 @@ from .mat2 import diag_mat, poly_ring
 from .poly import MonicIdeal, Poly, residue_ring
 from .subgroups import (
     SubgroupHandle,
+    congruence_at,
     from_quasilevel_abelian,
-    is_congruence,
     principal_congruence_handle,
     quasi_level,
 )
@@ -66,10 +71,6 @@ def psl2_order(q):
 
 def pgl2_order(q):
     return q * (q * q - 1)
-
-
-def _is_prime(n):
-    return n >= 2 and prime_factors(n) == [n]
 
 
 def _field_for_order(q):
@@ -272,6 +273,18 @@ def _not_genuine(reason, detail, provenance):
     return Verdict("NotGenuine", reason, detail, tuple(provenance))
 
 
+def _congruence_step(handle, config, prov):
+    """Quasi-level and congruence report; None for whatever a cap stopped."""
+    ql = rep = None
+    try:
+        ql = quasi_level(handle, config)
+        rep = congruence_at(handle, ql, config)
+        prov.append(f"congruence:{rep.congruence}")
+    except CapExceeded:
+        prov.append("congruence:cap-skipped")
+    return ql, rep
+
+
 def verdict(handle, config=DEFAULT_CONFIG):
     """Judge one handle along the full pipeline."""
     prov = []
@@ -288,12 +301,7 @@ def verdict(handle, config=DEFAULT_CONFIG):
         prov.append(f"divisibility:{hit[0] if hit else 'pass'}")
         if hit:
             return _not_genuine(hit[0], hit[1], prov)
-        try:
-            rep = is_congruence(handle, config)
-            prov.append(f"congruence:{rep.congruence}")
-        except CapExceeded:
-            rep = None
-            prov.append("congruence:cap-skipped")
+        _, rep = _congruence_step(handle, config, prov)
         if rep is not None and rep.congruence:
             return _not_genuine("is-congruence", None, prov)
         core_handle = SubgroupHandle(
@@ -311,16 +319,7 @@ def verdict(handle, config=DEFAULT_CONFIG):
             tuple(prov) + inner.provenance,
         )
 
-    try:
-        ql = quasi_level(handle, config)
-    except CapExceeded:
-        ql = None
-    try:
-        rep = is_congruence(handle, config)
-        prov.append(f"congruence:{rep.congruence}")
-    except CapExceeded:
-        rep = None
-        prov.append("congruence:cap-skipped")
+    ql, rep = _congruence_step(handle, config, prov)
     if rep is not None and rep.congruence:
         return _not_genuine("is-congruence", None, prov)
 
@@ -336,9 +335,10 @@ def verdict(handle, config=DEFAULT_CONFIG):
         q, kind, index, normal=True, proper=True, torus_inside=torus
     )
     prov.append(f"quick-criteria:{quick_hit[0] if quick_hit else 'none'}")
-    assert not (
-        quick_hit and (div_hit or codim_hit)
-    ), "a genuineness criterion and a filter both fired on one handle"
+    if quick_hit and (div_hit or codim_hit):
+        raise AssertionError(
+            "a genuineness criterion and a filter both fired on one handle"
+        )
     if div_hit:
         return _not_genuine(div_hit[0], div_hit[1], prov)
     if codim_hit:
@@ -347,7 +347,7 @@ def verdict(handle, config=DEFAULT_CONFIG):
             {"prime_codim": ql.prime_codim, "needed": 2 * handle.F.n},
             prov,
         )
-    if rep is None or ql is None:
+    if rep is None:
         return Verdict("Unknown", "cap-exceeded", None, tuple(prov))
     if quick_hit:
         return Verdict("Genuine", quick_hit[0], quick_hit[1], tuple(prov))
@@ -361,9 +361,8 @@ def verdict(handle, config=DEFAULT_CONFIG):
     if fc:
         return Verdict("Genuine", fc[0], fc[1], tuple(prov))
 
-    outcome = refute_genuineness(handle, config)
+    outcome = corner_map_search(handle, ql, config)
     prov.append(f"refutation:{outcome.status}:{outcome.tried}")
-    assert outcome.status != "already_congruence"
     if outcome.status == "refuted":
         return _not_genuine("congruence-witness", refutation_to_json(outcome), prov)
     return Verdict("Unknown", "no-decision", None, tuple(prov))

@@ -92,9 +92,6 @@ class Mat2:
         R = self.ring
         return R.sub(R.mul(self.a, self.d), R.mul(self.b, self.c))
 
-    def trace(self):
-        return self.ring.add(self.a, self.d)
-
     def inv(self):
         R = self.ring
         dt = self.det()
@@ -112,10 +109,6 @@ class Mat2:
     def transpose(self):
         return Mat2(self.ring, self.a, self.c, self.b, self.d)
 
-    def contragredient(self):
-        """Inverse of the transpose."""
-        return self.transpose().inv()
-
     def __pow__(self, e):
         if e < 0:
             return self.inv() ** (-e)
@@ -127,10 +120,6 @@ class Mat2:
             b = b * b
             e >>= 1
         return r
-
-    def conj_by(self, g):
-        """g^-1 * self * g."""
-        return g.inv() * self * g
 
     def is_identity(self):
         R = self.ring

@@ -6,8 +6,6 @@ the ring's dense tables.  Enumeration is by generator closure, checked
 against the exact order formula computed from the modulus factorization.
 """
 
-import numpy as np
-
 from .config import DEFAULT_GROUP_CAP
 from .errors import CapExceeded, DomainError
 from .fingroup import FinGroup, closure, contains_sorted
@@ -157,12 +155,12 @@ class ResidueMatrixGroup(FinGroup):
     def elements(self):
         key = (self.R, self.kind)
         arr = _ENUM_CACHE.get(key)
+        n = self.order_formula() if arr is None else arr.size
+        if n > self.cap:
+            raise CapExceeded(
+                f"{self.kind}2 group of order {n} exceeds the cap of {self.cap}"
+            )
         if arr is None:
-            n = self.order_formula()
-            if n > self.cap:
-                raise CapExceeded(
-                    f"{self.kind}2 group of order {n} exceeds the cap of {self.cap}"
-                )
             arr = closure(self, self.generators(), cap=n)
             if arr.size != n:
                 raise AssertionError(

@@ -36,9 +36,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def leading(self):
         if not self.coeffs:
             raise DomainError("zero polynomial has no leading coefficient")
@@ -148,13 +145,6 @@ class Poly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def evaluate(self, c):
-        F = self.F
-        r = 0
-        for a in reversed(self.coeffs):
-            r = F.add(F.mul(r, c), a)
-        return r
-
     def substitute(self, g):
         """Compose: the polynomial with g substituted for t."""
         F = self.F
@@ -199,10 +189,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.F.label}, {self.digits_str()!r})"
-
-
-def poly(F, coeffs):
-    return Poly(F, coeffs)
 
 
 def zero(F):
@@ -331,18 +317,6 @@ def monic_polys(F, deg):
         yield Poly(F, tuple(coeffs) + (1,))
 
 
-def polys_below(F, deg_bound):
-    """All polynomials of degree strictly below the bound (including 0)."""
-    q = F.q
-    for code in range(q**deg_bound):
-        coeffs = []
-        c = code
-        for _ in range(deg_bound):
-            coeffs.append(c % q)
-            c //= q
-        yield Poly(F, coeffs)
-
-
 @lru_cache(maxsize=None)
 def _irreducibles_cached(F, d):
     out = []
@@ -419,11 +393,6 @@ class MonicIdeal:
             return p.is_zero()
         return (p % self.gen).is_zero()
 
-    def contains_ideal(self, other):
-        if other.is_zero():
-            return True
-        return self.contains(other.gen)
-
     def sum_with(self, other):
         return MonicIdeal(poly_gcd(self.gen, other.gen))
 
@@ -466,10 +435,6 @@ class MonicIdeal:
         return f"MonicIdeal({self.gen.digits_str()!r})"
 
 
-def ideal(gen):
-    return MonicIdeal(gen)
-
-
 class ResidueRing:
     """The quotient F_q[t]/(f) for a monic modulus f of degree >= 1.
 
@@ -486,7 +451,6 @@ class ResidueRing:
         self.d = modulus.degree
         self.size = self.q**self.d
         self._tables = None
-        self._crt = None
 
     def lift(self, code):
         q = self.q
@@ -582,13 +546,6 @@ class ResidueRing:
     def units(self):
         return [a for a in self.elements() if self.is_unit(a)]
 
-    def unit_count(self):
-        n = 1
-        for p, m in factorize(self.modulus)[1]:
-            s = p.norm_size()
-            n *= s ** (m - 1) * (s - 1)
-        return n
-
     def tables(self):
         """Dense numpy add/mul/neg/unit tables; refused above the size cap."""
         if self._tables is None:
@@ -614,38 +571,6 @@ class ResidueRing:
                     mul[a, b] = mul[b, a] = m
             self._tables = (add, mul, neg, unit, inv)
         return self._tables
-
-    def crt_components(self):
-        """Prime-power component rings and the idempotent lifts gluing them.
-
-        Returns (rings, idempotents) where the i-th idempotent is 1 in the
-        i-th component and 0 elsewhere, as a code of this ring.
-        """
-        if self._crt is None:
-            _, factors = factorize(self.modulus)
-            comps = []
-            for p, m in factors:
-                comps.append(residue_ring(p**m))
-            idems = []
-            for p, m in factors:
-                g = p**m
-                rest = self.modulus // g
-                _, u, _ = poly_extgcd(rest, g)
-                idems.append(self.reduce_poly(u * rest))
-            self._crt = (comps, idems)
-        return self._crt
-
-    def crt_split(self, code):
-        comps, _ = self.crt_components()
-        p = self.lift(code)
-        return tuple(R.reduce_poly(p) for R in comps)
-
-    def crt_recombine(self, codes):
-        comps, idems = self.crt_components()
-        acc = 0
-        for R, e, c in zip(comps, idems, codes):
-            acc = self.add(acc, self.mul(e, self.reduce_poly(R.lift(c))))
-        return acc
 
     def __eq__(self, other):
         return isinstance(other, ResidueRing) and self.modulus == other.modulus

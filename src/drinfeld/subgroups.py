@@ -24,7 +24,7 @@ from .amalgam import (
 )
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, field, field_from_label
+from .fields import DIGIT_CHARS, field
 from .fingroup import (
     AdditiveQuotientGroup,
     ProductGroup,
@@ -35,14 +35,7 @@ from .fingroup import (
 )
 from .matgroups import ResidueMatrixGroup, mat_code
 from .mat2 import Mat2, diag_mat, poly_ring, translation, weyl
-from .poly import (
-    MonicIdeal,
-    Poly,
-    poly_from_string,
-    poly_gcd,
-    residue_ring,
-    t_power,
-)
+from .poly import MonicIdeal, Poly, poly_gcd, residue_ring, t_power
 from .subspace import SubspaceDesc, subspace
 
 
@@ -129,10 +122,6 @@ class QuasiLevel:
         expected = self.F.n * (self.conductor.gen.degree - self.level.gen.degree)
         return self.W.dim == expected
 
-    def index_bound(self):
-        """Size of the translation quotient: p to the prime codimension."""
-        return self.F.p**self.W.codim
-
 
 def ql_to_json(ql):
     return {
@@ -142,21 +131,6 @@ def ql_to_json(ql):
         "core_size": ql.core_size,
         "basis": ["".join(DIGIT_CHARS[x] for x in row) for row in ql.W.basis],
     }
-
-
-def ql_from_json(data):
-    F = field_from_label(data["field"])
-    Fp = field(F.p)
-    cond = MonicIdeal(poly_from_string(F, data["conductor"]))
-    n = F.n * cond.gen.degree
-    rows = []
-    for row in data["basis"]:
-        if len(row) != n:
-            raise DomainError("basis row length does not match the conductor")
-        rows.append(tuple(DIGIT_CHARS.index(ch) for ch in row))
-    W = subspace(Fp, n, rows)
-    level = MonicIdeal(poly_from_string(F, data["level"]))
-    return QuasiLevel(F, cond, W, level, int(data["core_size"]))
 
 
 class SubgroupHandle:
@@ -191,8 +165,13 @@ class SubgroupHandle:
         return self.hom.kind
 
     def image(self, cap=None):
+        """Image of h, computed once; every call with a cap is checked against it."""
         if self._image is None:
             self._image = self.hom.image_elements(cap)
+        elif cap is not None and self._image.size > cap:
+            raise CapExceeded(
+                f"subgroup closure grew past the cap of {cap} elements"
+            )
         return self._image
 
     def intersection(self, cap=None):
@@ -346,14 +325,18 @@ def report_to_json(report):
 
 
 def is_congruence(handle, config=DEFAULT_CONFIG):
-    """Decide whether the preimage contains a full reduction kernel.
+    """Decide whether the preimage contains a full reduction kernel."""
+    return congruence_at(handle, quasi_level(handle, config), config)
+
+
+def congruence_at(handle, ql, config=DEFAULT_CONFIG):
+    """Congruence decision for a handle whose quasi-level is already known.
 
     The preimage contains the kernel of reduction modulo some nonzero
     ideal exactly when it contains the one at its own level, so a single
     image computation settles the question.  A witness code outside U
     certifies the negative answer.
     """
-    ql = quasi_level(handle, config)
     E = congruence_image(handle.hom, ql.level, config)
     outside = np.setdiff1d(E, handle.subgroup)
     if outside.size:

@@ -23,7 +23,6 @@ from .autos import (
     NonStandardAuto,
     RingAuto,
     apply_auto,
-    auto_to_json,
     quasi_levels_agree,
     refute_genuineness,
     transform_quasi_level,
@@ -35,8 +34,6 @@ from .fingroup import (
     ProductGroup,
     QuotientGroup,
     SymmetricGroup,
-    closure,
-    contains_sorted,
     derived_subgroup,
     minimal_proper_index,
     normal_closure,
@@ -99,13 +96,7 @@ def order_facts(config, cache):
 def _reduction_kernel(G, q):
     """Elements congruent to the identity in every constant coefficient."""
     els = G.elements()
-    S = G.S
-    d = els % S
-    r = els // S
-    c = r % S
-    r = r // S
-    b = r % S
-    a = r // S
+    a, b, c, d = G.decode(els)
     mask = (a % q == 1) & (b % q == 0) & (c % q == 0) & (d % q == 1)
     return els[mask]
 

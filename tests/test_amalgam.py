@@ -18,12 +18,9 @@ from drinfeld.amalgam import (
     matrix_to_word,
     normalize_letters,
     reduction_as_table_hom,
-    t_power_reduction_hom,
     target_from_json,
     target_to_json,
-    word_inverse,
     word_matrix,
-    word_product,
 )
 from drinfeld.errors import DomainError, MalformedWord, ValidationError
 from drinfeld.fields import field
@@ -126,16 +123,6 @@ def test_nonunit_determinant_rejected():
         matrix_to_word(m)
 
 
-def test_word_product_and_inverse():
-    rng = np.random.default_rng(17)
-    for _ in range(100):
-        m1 = random_sl2(F3, rng)
-        m2 = random_sl2(F3, rng)
-        w1, w2 = matrix_to_word(m1), matrix_to_word(m2)
-        assert word_matrix(F3, word_product(w1, w2)) == m1 * m2
-        assert word_matrix(F3, word_inverse(w1)) == m1.inv()
-
-
 def test_normalize_merges_borels():
     raw = [BorelLetter(1, 1, P(F2, "01")), BorelLetter(1, 1, P(F2, "01"))]
     assert normalize_letters(raw) == ()  # corners cancel over F_2
@@ -219,7 +206,6 @@ def test_gl_reduction_and_tables():
 
 
 def test_conductor_values():
-    assert t_power_reduction_hom(F2, 2).conductor.gen == P(F2, "001")
     assert (
         reduction_as_table_hom(residue_ring(P(F2, "001")), "SL").conductor.gen
         == P(F2, "001")

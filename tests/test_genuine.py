@@ -8,6 +8,7 @@ frozen against counts derived by hand from the subspace patterns.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -40,9 +41,11 @@ from drinfeld.matgroups import ResidueMatrixGroup
 from drinfeld.poly import MonicIdeal, Poly, poly_from_string, residue_ring, t_power
 from drinfeld.subgroups import (
     SubgroupHandle,
+    congruence_image,
     from_quasilevel_abelian,
     is_congruence,
     principal_congruence_handle,
+    quasi_level,
     scalar_congruence_handle,
 )
 from drinfeld.subspace import subspace, zero_space
@@ -215,6 +218,47 @@ def test_verdict_honest_unknown():
     v = verdict(h)
     assert v.outcome == "Unknown" and v.reason == "no-decision"
     assert any(p.startswith("refutation:no_refutation_found") for p in v.provenance)
+
+
+def count_calls(monkeypatch, fn):
+    """Replace fn in every drinfeld module that binds it; return the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "drinfeld" or name.startswith("drinfeld.")):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_verdict_derives_quasi_level_and_congruence_once(monkeypatch):
+    h = abelian_handle(F2, "00001", [(1, 0, 0, 0), (0, 1, 0, 0)])  # span{1, t} below t^4
+    ql_calls = count_calls(monkeypatch, quasi_level)
+    image_calls = count_calls(monkeypatch, congruence_image)
+    v = verdict(h, RunConfig(search_budget=0))
+    assert v.provenance[1] == "congruence:False"
+    assert v.provenance[-1] == "refutation:no_refutation_found:0"
+    assert len(ql_calls) == 1
+    assert len(image_calls) == 1
+
+
+def test_verdict_keeps_quasi_level_when_congruence_hits_cap(monkeypatch):
+    h = abelian_handle(F2, "00001", [(1, 0, 0, 0), (0, 1, 0, 0)])
+    ql_calls = count_calls(monkeypatch, quasi_level)
+    image_calls = count_calls(monkeypatch, congruence_image)
+    # the product closure at level t^4 passes 2000 elements; the core has 4
+    v = verdict(h, RunConfig(search_budget=0, group_cap=2000))
+    assert v.outcome == "Unknown" and v.reason == "cap-exceeded"
+    prov = list(v.provenance)
+    skipped = prov.index("congruence:cap-skipped")
+    assert "codimension:pass" in prov[skipped + 1 :]
+    assert len(ql_calls) == 1
+    assert len(image_calls) == 1
 
 
 def test_verdict_invariant_under_standard_automorphisms():

@@ -139,6 +139,13 @@ def test_cap_refusal_before_any_work():
         G.elements()
 
 
+def test_cap_checked_on_cached_enumeration():
+    R = ring(F2, "0001")  # modulus t^3: SL2 order 384
+    assert ResidueMatrixGroup(R, "SL").elements().size == 384
+    with pytest.raises(CapExceeded):
+        ResidueMatrixGroup(R, "SL", cap=100).elements()
+
+
 def test_mat_code_roundtrip():
     R = ring(F3, "001")
     for code in (0, 1, 17, R.size**4 - 1):

@@ -27,8 +27,6 @@ from drinfeld.subgroups import (
     prime_basis_polys,
     prime_coordinates,
     principal_congruence_handle,
-    ql_from_json,
-    ql_to_json,
     quasi_level,
     scalar_congruence_handle,
     sl_part_image,
@@ -241,6 +239,13 @@ def test_quasi_level_cap():
         quasi_level(handle, RunConfig(enum_cap=4))
 
 
+def test_image_cap_checked_on_cached_image():
+    h = from_quasilevel_abelian(subspace(F2, 3, [(1, 0, 0)]), P(F2, "0001"))
+    assert h.image(100_000).size == 4
+    with pytest.raises(CapExceeded):
+        h.image(2)
+
+
 def test_handle_checks_closedness():
     hom = ReductionHom(residue_ring(P(F2, "01")), "SL")
     w = hom.eval_matrix(weyl(poly_ring(F2)))
@@ -262,16 +267,6 @@ def test_handle_json_roundtrip():
     r1, r2 = is_congruence(ha), is_congruence(ha2)
     assert r1.congruence == r2.congruence
     assert r1.quasi_level.level.gen == r2.quasi_level.level.gen
-
-
-def test_ql_json_roundtrip():
-    h = from_quasilevel_abelian(subspace(F3, 2, [(1, 1)]), P(F3, "001"))
-    ql = quasi_level(h)
-    ql2 = ql_from_json(ql_to_json(ql))
-    assert ql2.W == ql.W
-    assert ql2.level.gen == ql.level.gen
-    assert ql2.conductor.gen == ql.conductor.gen
-    assert ql2.core_size == ql.core_size
 
 
 def test_gl_congruence_image():
