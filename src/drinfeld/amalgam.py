@@ -25,6 +25,7 @@ from .fingroup import (
     SymmetricGroup,
     TableGroup,
     closure,
+    first_outside,
 )
 from .mat2 import (
     Mat2,
@@ -227,16 +228,13 @@ def _check_domain(kind, m):
 class ReductionHom:
     """Reduce matrix entries modulo the monic modulus of a residue ring."""
 
-    def __init__(self, R, kind="SL", cap=None):
+    def __init__(self, R, kind="SL"):
         if kind not in ("SL", "GL"):
             raise DomainError("kind must be 'SL' or 'GL'")
         self.ring = R
         self.F = R.F
         self.kind = kind
-        if cap is None:
-            self.target = ResidueMatrixGroup(R, kind)
-        else:
-            self.target = ResidueMatrixGroup(R, kind, cap=cap)
+        self.target = ResidueMatrixGroup(R, kind)
         self.conductor = MonicIdeal(R.modulus)
 
     def translation_image(self, a):
@@ -264,10 +262,8 @@ class ReductionHom:
             gens.append(int(mat_code(Mat2(self.ring, u, 0, 0, 1))))
         return sorted(set(gens))
 
-    def image_elements(self, cap=None):
-        if cap is None:
-            cap = self.target.cap
-        return closure(self.target, self.image_generators(), cap=cap)
+    def image_elements(self, cap=DEFAULT_GROUP_CAP):
+        return closure(self.target, self.image_generators(), cap)
 
     def __repr__(self):
         return f"ReductionHom({self.kind}2 mod {self.ring.modulus.digits_str()})"
@@ -372,9 +368,8 @@ class TableHom:
             gens.update(t)
         return sorted(gens)
 
-    def image_elements(self, cap=None):
-        return closure(self.target, self.image_generators(),
-                       cap if cap is not None else DEFAULT_GROUP_CAP)
+    def image_elements(self, cap=DEFAULT_GROUP_CAP):
+        return closure(self.target, self.image_generators(), cap)
 
     # -- validation
 
@@ -394,19 +389,13 @@ class TableHom:
                         "tables-shape",
                         f"{name} table {i} has {len(tab)} entries, expected {q}",
                     )
-        if hasattr(T, "contains_code"):
-            for tab in self.pre_tables + self.cyc_tables:
-                for v in tab:
-                    if not T.contains_code(int(v)):
-                        raise ValidationError(
-                            "codes-in-target", f"code {v} is not in the target group"
-                        )
-            for v in self.const_table.values():
-                if not T.contains_code(int(v)):
-                    raise ValidationError(
-                        "codes-in-target", f"code {v} is not in the target group"
-                    )
         slots = self.pre_tables + self.cyc_tables
+        codes = [v for tab in slots for v in tab] + list(self.const_table.values())
+        bad = first_outside(T, codes)
+        if bad is not None:
+            raise ValidationError(
+                "codes-in-target", f"code {bad} is not in the target group"
+            )
         for i, tab in enumerate(slots):
             if tab[0] != e:
                 raise ValidationError(

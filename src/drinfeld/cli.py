@@ -28,15 +28,16 @@ from .config import (
     RunConfig,
 )
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, field
-from .fingroup import closure, derived_subgroup
-from .genuine import _field_for_order, facts_lookup, low_index_scan, verdict, verdict_to_json
+from .fields import DIGIT_CHARS, field, field_from_label
+from .fingroup import closure, derived_subgroup, first_outside
+from .genuine import facts_lookup, low_index_scan, verdict, verdict_to_json
 from .mat2 import mat_over_polys, reduce_mat
 from .matgroups import ResidueMatrixGroup, mat_code
 from .poly import MonicIdeal, poly_from_text, residue_ring
 from .subgroups import (
     SubgroupHandle,
     from_quasilevel_abelian,
+    handle_from_generators,
     handle_from_json,
     handle_to_json,
     is_congruence,
@@ -66,7 +67,7 @@ def _kind(args):
 
 
 def _field(args):
-    return _field_for_order(args.q)
+    return field_from_label(str(args.q))
 
 
 def _load_json(path, what):
@@ -93,10 +94,11 @@ def _load_handle(path, config):
                 raise DomainError("subgroup-spec: subgroup object needs a 'generators' list")
             hom = hom_from_json(data["hom"])
             gens = [int(x) for x in sub["generators"]]
-            arr = closure(hom.target, gens, cap=config.group_cap)
-            return SubgroupHandle(hom, arr, name=data.get("name", ""), check=False)
+            return handle_from_generators(
+                hom, gens, config.group_cap, name=data.get("name", "")
+            )
         return handle_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"subgroup-spec: malformed field ({exc})") from exc
 
 
@@ -148,14 +150,14 @@ def _cmd_subgroup_new(args):
         raise DomainError("subgroup new: this family needs --modulus")
     if args.family == "principal":
         m = poly_from_text(F, args.modulus)
-        hom = ReductionHom(residue_ring(m), kind, cap=config.group_cap)
+        hom = ReductionHom(residue_ring(m), kind)
         ideal_gen = poly_from_text(F, args.ideal) if args.ideal else m
         handle = principal_congruence_handle(
             hom, MonicIdeal(ideal_gen), config, name=name
         )
     elif args.family == "scalar":
         m = poly_from_text(F, args.modulus)
-        handle = scalar_congruence_handle(m, kind, config)
+        handle = scalar_congruence_handle(m, kind)
         if name:
             handle.name = name
     elif args.family == "abelian":
@@ -182,8 +184,10 @@ def _cmd_subgroup_new(args):
         if not args.codes:
             raise DomainError("subgroup new: the generators family needs --codes")
         gens = [int(x) for x in args.codes.split(",")]
-        arr = gens if args.closed else closure(hom.target, gens, cap=config.group_cap)
-        handle = SubgroupHandle(hom, arr, name=name)
+        if args.closed:
+            handle = SubgroupHandle(hom, gens, name=name)
+        else:
+            handle = handle_from_generators(hom, gens, config.group_cap, name=name)
     else:  # pragma: no cover - argparse restricts the choices
         raise DomainError(f"subgroup new: unknown family {args.family!r}")
     _write_or_emit(args, handle_to_json(handle))
@@ -356,16 +360,16 @@ def _cmd_facts_get(args):
 # ------------------------------------------------------------------ oracle
 
 
-def _oracle_group(args, config):
+def _oracle_group(args):
     F = _field(args)
     m = poly_from_text(F, args.modulus)
-    return ResidueMatrixGroup(residue_ring(m), _kind(args), cap=config.group_cap)
+    return ResidueMatrixGroup(residue_ring(m), _kind(args))
 
 
 def _cmd_oracle_enumerate(args):
     config = _config(args)
-    G = _oracle_group(args, config)
-    elems = G.elements()
+    G = _oracle_group(args)
+    elems = G.elements(config.group_cap)
     _emit(
         args,
         {
@@ -380,8 +384,8 @@ def _cmd_oracle_enumerate(args):
 
 def _cmd_oracle_derived(args):
     config = _config(args)
-    G = _oracle_group(args, config)
-    elems = G.elements()
+    G = _oracle_group(args)
+    elems = G.elements(config.group_cap)
     derived = derived_subgroup(G, elems, cap=config.group_cap)
     _emit(
         args,
@@ -399,7 +403,7 @@ def _cmd_oracle_derived(args):
 
 def _cmd_oracle_closure(args):
     config = _config(args)
-    G = _oracle_group(args, config)
+    G = _oracle_group(args)
     R = G.R
     F = R.F
     gens = []
@@ -413,9 +417,9 @@ def _cmd_oracle_closure(args):
         gens.append(int(mat_code(m)))
     if not gens:
         raise DomainError("closure: give generators via --codes and/or --matrix")
-    for code in gens:
-        if not G.contains_code(code):
-            raise DomainError(f"closure: code {code} is outside the {args.group} group")
+    bad = first_outside(G, gens)
+    if bad is not None:
+        raise DomainError(f"closure: code {bad} is outside the {args.group} group")
     arr = closure(G, gens, cap=config.group_cap)
     _emit(
         args,

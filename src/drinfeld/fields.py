@@ -238,6 +238,8 @@ def field_from_label(label):
         p_str, n_str = text.split("^", 1)
         return field(int(p_str), int(n_str))
     q = int(text)
+    if q > MAX_FIELD_ORDER:
+        raise DomainError(f"field order {q} exceeds supported maximum {MAX_FIELD_ORDER}")
     for p in range(2, q + 1):
         if _is_prime(p):
             n = 0

@@ -9,6 +9,7 @@ shared across realizations.
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -32,12 +33,16 @@ class FinGroup:
     def identity_code(self):
         raise NotImplementedError
 
-    def elements(self):
-        """Sorted unique array of all element codes."""
+    def elements(self, cap=DEFAULT_GROUP_CAP):
+        """Sorted unique array of all element codes; refused above the cap."""
         raise NotImplementedError
 
     def order(self):
         return int(self.elements().size)
+
+    def member_mask(self, codes):
+        """Boolean mask of the codes that are elements of the group."""
+        return np.isin(codes, self.elements())
 
     def mul(self, x, y):
         return int(self.op(np.int64(x), np.int64(y)))
@@ -56,6 +61,19 @@ def as_code_array(codes):
     return np.unique(np.asarray(list(codes), dtype=np.int64))
 
 
+def refuse_above(n, cap, what):
+    """Raise CapExceeded when a group of order n is above the cap."""
+    if n > cap:
+        raise CapExceeded(f"{what} of order {n} exceeds the cap of {cap}")
+
+
+def first_outside(G, codes):
+    """The first of the codes that is not an element of G, or None."""
+    codes = np.asarray(codes, dtype=np.int64)
+    bad = codes[~G.member_mask(codes)]
+    return int(bad[0]) if bad.size else None
+
+
 def contains_sorted(arr, x):
     i = int(np.searchsorted(arr, x))
     return i < arr.size and int(arr[i]) == int(x)
@@ -71,8 +89,9 @@ def conj_array(G, arr, g):
 # closure and friends
 
 
-def _closure_impl(G, seeds, bound, strict):
-    gens = as_code_array(list(seeds) + [G.identity_code()])
+def closure(G, gens, cap=DEFAULT_GROUP_CAP):
+    """Sorted element array of the subgroup generated by the given codes."""
+    gens = as_code_array(list(gens) + [G.identity_code()])
     known = gens
     frontier = gens
     while frontier.size:
@@ -81,24 +100,12 @@ def _closure_impl(G, seeds, bound, strict):
         if new.size == 0:
             break
         known = np.union1d(known, new)
-        if bound is not None and known.size > bound:
-            if strict:
-                raise CapExceeded(
-                    f"subgroup closure grew past the cap of {bound} elements"
-                )
-            return None
+        if known.size > cap:
+            raise CapExceeded(
+                f"subgroup closure grew past the cap of {cap} elements"
+            )
         frontier = new
     return known
-
-
-def closure(G, gens, cap=DEFAULT_GROUP_CAP):
-    """Sorted element array of the subgroup generated by the given codes."""
-    return _closure_impl(G, gens, cap, strict=True)
-
-
-def closure_bounded(G, gens, bound):
-    """Like closure, but quietly returns None once the bound is passed."""
-    return _closure_impl(G, gens, bound, strict=False)
 
 
 def conj_orbit(G, parent_gens, seeds, cap=DEFAULT_GROUP_CAP):
@@ -154,21 +161,19 @@ def core_in(G, parent_gens, sub):
     return C
 
 
-def small_generating_set(G, arr, cap=None):
+def small_generating_set(G, arr):
     """Greedy generating set for the subgroup whose elements are arr."""
     target = arr.size
-    if cap is None:
-        cap = target
-    e = G.identity_code()
     gens = []
-    cur = as_code_array([e])
+    cur = as_code_array([G.identity_code()])
     for x in arr:
         if contains_sorted(cur, x):
             continue
         gens.append(int(x))
-        cur = closure_bounded(G, gens, cap)
-        if cur is None:
-            raise DomainError("element array is not closed under the group operation")
+        try:
+            cur = closure(G, gens, target)
+        except CapExceeded:
+            break
         if cur.size == target:
             break
     if cur.size != target:
@@ -303,15 +308,15 @@ class ProductGroup(FinGroup):
     """Direct product packed as index1 * |G2| + index2.
 
     Indexes refer to positions in the factors' sorted element arrays, so
-    both factors must be fully enumerated.  The product itself is never
-    enumerated unless elements() is called explicitly.
+    both factors are fully enumerated, each under the cap.  The product
+    itself is never enumerated.
     """
 
-    def __init__(self, G1, G2):
+    def __init__(self, G1, G2, cap=DEFAULT_GROUP_CAP):
         self.G1 = G1
         self.G2 = G2
-        self.e1 = G1.elements()
-        self.e2 = G2.elements()
+        self.e1 = G1.elements(cap)
+        self.e2 = G2.elements(cap)
         self.n2 = int(self.e2.size)
         self._e = self.pack(
             np.int64(G1.identity_code()), np.int64(G2.identity_code())
@@ -387,8 +392,13 @@ class AdditiveQuotientGroup(FinGroup):
     def identity_code(self):
         return 0
 
-    def elements(self):
+    def elements(self, cap=DEFAULT_GROUP_CAP):
+        refuse_above(self.size, cap, "additive quotient")
         return np.arange(self.size, dtype=np.int64)
+
+    def member_mask(self, codes):
+        codes = np.asarray(codes, dtype=np.int64)
+        return (codes >= 0) & (codes < self.size)
 
     def coords_to_code(self, coords):
         code = 0
@@ -417,13 +427,6 @@ class SymmetricGroup(FinGroup):
             code = code * self.n + x
         return code
 
-    def code_to_perm(self, code):
-        out = []
-        for _ in range(self.n):
-            out.append(int(code % self.n))
-            code //= self.n
-        return tuple(out)
-
     def op(self, a, b):
         """Compose: the result sends i to a(b(i))."""
         n = self.n
@@ -445,7 +448,8 @@ class SymmetricGroup(FinGroup):
     def identity_code(self):
         return int(self.perm_to_code(tuple(range(self.n))))
 
-    def elements(self):
+    def elements(self, cap=DEFAULT_GROUP_CAP):
+        refuse_above(factorial(self.n), cap, f"symmetric group S{self.n}")
         if self._els is None:
             self._els = np.sort(
                 np.array(
@@ -490,7 +494,8 @@ class TableGroup(FinGroup):
     def identity_code(self):
         return self._e
 
-    def elements(self):
+    def elements(self, cap=DEFAULT_GROUP_CAP):
+        refuse_above(self.n, cap, "table group")
         return np.arange(self.n, dtype=np.int64)
 
 
@@ -599,11 +604,10 @@ def _find_proper_normal(K, cap):
         if contains_sorted(skip, x):
             continue
         cls = conj_orbit(K, gens, [x], cap)
-        N = closure_bounded(K, cls, n // 2)
-        if N is None:
+        try:
+            return closure(K, cls, n // 2)
+        except CapExceeded:
             skip = np.union1d(skip, cls)
-        else:
-            return N
     return None
 
 

@@ -29,13 +29,12 @@ from math import gcd
 from .autos import corner_map_search, refutation_to_json
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, _is_prime, field
+from .fields import DIGIT_CHARS, _is_prime, field, field_from_label
 from .fingroup import (
     QuotientGroup,
     composition_factors,
     is_normal,
     is_psl2_order_over,
-    prime_factors,
 )
 from .amalgam import ReductionHom
 from .mat2 import diag_mat, poly_ring
@@ -71,19 +70,6 @@ def psl2_order(q):
 
 def pgl2_order(q):
     return q * (q * q - 1)
-
-
-def _field_for_order(q):
-    ps = prime_factors(q)
-    if len(ps) != 1:
-        raise DomainError(f"{q} is not a prime power")
-    p = ps[0]
-    n = 0
-    m = q
-    while m > 1:
-        m //= p
-        n += 1
-    return field(p, n)
 
 
 @dataclass(frozen=True)
@@ -470,7 +456,7 @@ def low_index_scan(q, kind="SL", max_index=4, bound=None, config=DEFAULT_CONFIG)
     reduction kernels.  Minima are over the scanned class only; they are
     lower-bound evidence, not global minima.
     """
-    F = _field_for_order(q)
+    F = field_from_label(str(q))
     if bound is None:
         raise DomainError("the scan needs a monic modulus bound")
     if not isinstance(bound, MonicIdeal):
@@ -525,7 +511,7 @@ def low_index_scan(q, kind="SL", max_index=4, bound=None, config=DEFAULT_CONFIG)
                     judge(handle, "abelian-quotient", m, {"basis": basis})
 
     for m in moduli:
-        hom = ReductionHom(residue_ring(m.gen), kind, cap=config.group_cap)
+        hom = ReductionHom(residue_ring(m.gen), kind)
         try:
             handle = principal_congruence_handle(hom, m, config)
             if handle.index_in_domain(config.group_cap) > max_index:

@@ -121,15 +121,6 @@ class Mat2:
             e >>= 1
         return r
 
-    def is_identity(self):
-        R = self.ring
-        return (
-            self.a == R.one()
-            and self.d == R.one()
-            and self.b == R.zero()
-            and self.c == R.zero()
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat2)
@@ -173,13 +164,6 @@ def weyl(ring):
     return Mat2(ring, ring.zero(), ring.neg(one_), one_, ring.zero())
 
 
-def scalar_mat(ring, c):
-    if c == 0:
-        raise DomainError("scalar matrices need a unit scalar")
-    cc = ring.from_field(c)
-    return Mat2(ring, cc, ring.zero(), ring.zero(), cc)
-
-
 def mat_over_polys(F, entries):
     """Build a polynomial matrix from four Poly (or field-element) entries."""
     R = poly_ring(F)
@@ -201,17 +185,3 @@ def reduce_mat(m, R):
         R.reduce_poly(m.c),
         R.reduce_poly(m.d),
     )
-
-
-def lift_mat(m, F):
-    """Lift a residue-ring matrix to its canonical polynomial representative."""
-    R = m.ring
-    return Mat2(poly_ring(F), R.lift(m.a), R.lift(m.b), R.lift(m.c), R.lift(m.d))
-
-
-def det_is_one(m):
-    return m.det() == m.ring.one()
-
-
-def det_is_unit(m):
-    return m.ring.is_unit(m.det())

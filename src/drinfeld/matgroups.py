@@ -6,9 +6,11 @@ the ring's dense tables.  Enumeration is by generator closure, checked
 against the exact order formula computed from the modulus factorization.
 """
 
+import numpy as np
+
 from .config import DEFAULT_GROUP_CAP
-from .errors import CapExceeded, DomainError
-from .fingroup import FinGroup, closure, contains_sorted
+from .errors import DomainError
+from .fingroup import FinGroup, closure, refuse_above
 from .mat2 import Mat2, translation, weyl
 from .poly import factorize, t_power
 
@@ -65,13 +67,12 @@ def unit_group_generators(R):
 class ResidueMatrixGroup(FinGroup):
     """SL2 or GL2 over a residue ring, on packed matrix codes."""
 
-    def __init__(self, R, kind="SL", cap=DEFAULT_GROUP_CAP):
+    def __init__(self, R, kind="SL"):
         if kind not in ("SL", "GL"):
             raise DomainError("kind must be 'SL' or 'GL'")
         self.R = R
         self.kind = kind
         self.S = R.size
-        self.cap = cap
         add, mul, neg, unit, inv = R.tables()
         self._add = add
         self._mul = mul
@@ -119,10 +120,12 @@ class ResidueMatrixGroup(FinGroup):
         return add[mul[a, d], neg[mul[b, c]]]
 
     def member_mask(self, codes):
-        det = self.det_arr(codes)
-        if self.kind == "SL":
-            return det == 1
-        return self._unit[det]
+        """Membership by arithmetic: the code packs a matrix over the ring
+        whose determinant is 1 (SL) or a unit (GL).  Nothing is enumerated."""
+        codes = np.asarray(codes, dtype=np.int64)
+        inside = (codes >= 0) & (codes < self.S**4)
+        det = self.det_arr(np.where(inside, codes, 0))
+        return inside & (det == 1 if self.kind == "SL" else self._unit[det])
 
     def identity_code(self):
         return int(self.encode(1, 0, 0, 1))
@@ -152,14 +155,11 @@ class ResidueMatrixGroup(FinGroup):
                 n *= size**4 * (s - 1) * (s * s - 1) // (s**3)
         return n
 
-    def elements(self):
+    def elements(self, cap=DEFAULT_GROUP_CAP):
         key = (self.R, self.kind)
         arr = _ENUM_CACHE.get(key)
         n = self.order_formula() if arr is None else arr.size
-        if n > self.cap:
-            raise CapExceeded(
-                f"{self.kind}2 group of order {n} exceeds the cap of {self.cap}"
-            )
+        refuse_above(n, cap, f"{self.kind}2 group")
         if arr is None:
             arr = closure(self, self.generators(), cap=n)
             if arr.size != n:
@@ -171,9 +171,6 @@ class ResidueMatrixGroup(FinGroup):
 
     def order(self):
         return self.order_formula()
-
-    def contains_code(self, code):
-        return contains_sorted(self.elements(), code)
 
     def __repr__(self):
         return f"ResidueMatrixGroup({self.kind}2, {self.R!r})"

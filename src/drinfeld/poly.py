@@ -473,9 +473,6 @@ class ResidueRing:
     def one(self):
         return 1
 
-    def t_code(self):
-        return self.q if self.d > 1 else self.reduce_poly(t_var(self.F))
-
     def from_field(self, c):
         return self.F.check(c)
 

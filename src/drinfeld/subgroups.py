@@ -22,7 +22,7 @@ from .amalgam import (
     hom_to_json,
     t_power_cycle,
 )
-from .config import DEFAULT_CONFIG
+from .config import DEFAULT_CONFIG, DEFAULT_GROUP_CAP
 from .errors import CapExceeded, DomainError
 from .fields import DIGIT_CHARS, field
 from .fingroup import (
@@ -31,6 +31,8 @@ from .fingroup import (
     closure,
     core_in,
     derived_subgroup,
+    first_outside,
+    refuse_above,
     small_generating_set,
 )
 from .matgroups import ResidueMatrixGroup, mat_code
@@ -133,12 +135,19 @@ def ql_to_json(ql):
     }
 
 
+def check_in_target(target, codes):
+    """Refuse codes that are not elements of the target group."""
+    bad = first_outside(target, codes)
+    if bad is not None:
+        raise DomainError(f"code {bad} is not in the target group")
+
+
 class SubgroupHandle:
     """A homomorphism h plus a subgroup U of its finite target.
 
     Stands for the preimage of U under h inside the domain matrix group.
-    The subgroup array is validated to be closed; the effective subgroup
-    is the intersection of U with the image of h.
+    The subgroup array is validated to lie in the target and be closed;
+    the effective subgroup is the intersection of U with the image of h.
     """
 
     def __init__(self, hom, subgroup, name="", check=True):
@@ -147,6 +156,7 @@ class SubgroupHandle:
         if arr.size == 0:
             raise DomainError("a subgroup needs at least the identity")
         if check:
+            check_in_target(self.target, arr)
             small_generating_set(self.target, arr)
         self.subgroup = arr
         self.name = name
@@ -164,27 +174,24 @@ class SubgroupHandle:
     def kind(self):
         return self.hom.kind
 
-    def image(self, cap=None):
-        """Image of h, computed once; every call with a cap is checked against it."""
+    def image(self, cap=DEFAULT_GROUP_CAP):
+        """Image of h, computed once; every call is checked against its cap."""
         if self._image is None:
             self._image = self.hom.image_elements(cap)
-        elif cap is not None and self._image.size > cap:
-            raise CapExceeded(
-                f"subgroup closure grew past the cap of {cap} elements"
-            )
+        refuse_above(self._image.size, cap, "image")
         return self._image
 
-    def intersection(self, cap=None):
+    def intersection(self, cap=DEFAULT_GROUP_CAP):
         return np.intersect1d(self.subgroup, self.image(cap))
 
-    def index_in_domain(self, cap=None):
+    def index_in_domain(self, cap=DEFAULT_GROUP_CAP):
         im = self.image(cap)
         inter = self.intersection(cap)
         if im.size % inter.size:
             raise DomainError("intersection with the image is not a subgroup")
         return im.size // inter.size
 
-    def core(self, cap=None):
+    def core(self, cap=DEFAULT_GROUP_CAP):
         """Largest subgroup of U meeting the image that the image normalizes."""
         gens = self.hom.image_generators()
         return core_in(self.target, gens, self.intersection(cap))
@@ -213,6 +220,12 @@ def handle_from_json(data):
         data["subgroup"],
         name=data.get("name", ""),
     )
+
+
+def handle_from_generators(hom, gens, cap=DEFAULT_GROUP_CAP, name=""):
+    """Handle for the subgroup the given target codes generate."""
+    check_in_target(hom.target, gens)
+    return SubgroupHandle(hom, closure(hom.target, gens, cap), name=name, check=False)
 
 
 def quasi_level(handle, config=DEFAULT_CONFIG):
@@ -293,8 +306,8 @@ def congruence_image(hom, ideal, config=DEFAULT_CONFIG):
     if ideal.is_unit_ideal():
         return sl_part_image(hom, config)
     S = residue_ring(ideal.gen)
-    pi = ReductionHom(S, hom.kind, cap=config.group_cap)
-    P0 = ProductGroup(hom.target, pi.target)
+    pi = ReductionHom(S, hom.kind)
+    P0 = ProductGroup(hom.target, pi.target, config.group_cap)
     bound = _translation_degree_bound(hom, pi)
     pairs = []
     for m in domain_generator_matrices(hom.F, hom.kind, bound):
@@ -350,10 +363,10 @@ def principal_congruence_handle(hom, ideal, config=DEFAULT_CONFIG, name=""):
     return SubgroupHandle(hom, U, name=name, check=False)
 
 
-def scalar_congruence_handle(modulus, kind="SL", config=DEFAULT_CONFIG):
+def scalar_congruence_handle(modulus, kind="SL"):
     """Matrices reducing to a scalar modulo the given monic polynomial."""
     R = residue_ring(modulus)
-    hom = ReductionHom(R, kind, cap=config.group_cap)
+    hom = ReductionHom(R, kind)
     codes = []
     for u in R.units():
         if kind == "SL" and R.mul(u, u) != R.from_field(1):

@@ -83,13 +83,6 @@ class SubspaceDesc:
         red = self.reduce_vector(v)
         return tuple(red[c] for c in self.nonpivots())
 
-    def coset_lift(self, coords):
-        """The canonical representative with the given non-pivot coordinates."""
-        out = [0] * self.ambient_dim
-        for c, x in zip(self.nonpivots(), coords):
-            out[c] = x
-        return tuple(out)
-
     def sum_with(self, other):
         return SubspaceDesc(self.F, self.ambient_dim, self.basis + other.basis)
 
@@ -148,11 +141,6 @@ def subspace(F, ambient_dim, vectors):
     return SubspaceDesc(F, ambient_dim, vectors)
 
 
-def full_space(F, n):
-    eye = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return SubspaceDesc(F, n, eye)
-
-
 def zero_space(F, n):
     return SubspaceDesc(F, n, [])
 
@@ -181,10 +169,6 @@ def iter_subspaces(F, n, dim):
             for (i, c), v in zip(free, values):
                 rows[i][c] = v
             yield SubspaceDesc(F, n, [tuple(r) for r in rows])
-
-
-def hyperplanes(F, n):
-    return iter_subspaces(F, n, n - 1)
 
 
 def count_subspaces(q, n, dim):

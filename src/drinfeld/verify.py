@@ -65,11 +65,8 @@ def _sl2_mod_t(label):
     return ResidueMatrixGroup(residue_ring(t_power(F, 1)), "SL")
 
 
-def _residue_group(F, modulus_str, kind="SL", cap=None):
-    R = residue_ring(poly_from_string(F, modulus_str))
-    if cap is None:
-        return ResidueMatrixGroup(R, kind)
-    return ResidueMatrixGroup(R, kind, cap=cap)
+def _residue_group(F, modulus_str):
+    return ResidueMatrixGroup(residue_ring(poly_from_string(F, modulus_str)), "SL")
 
 
 # -- criterion 1: group orders by plain enumeration
@@ -257,7 +254,7 @@ def _rebuild_entry_handle(q, entry, config):
         W = subspace(F, modulus.degree, rows)
         return from_quasilevel_abelian(W, modulus)
     if entry["family"] == "principal-kernel":
-        hom = ReductionHom(residue_ring(modulus), "SL", cap=config.group_cap)
+        hom = ReductionHom(residue_ring(modulus), "SL")
         return principal_congruence_handle(hom, MonicIdeal(modulus), config)
     raise DomainError(f"unknown scan family {entry['family']!r}")
 
@@ -417,14 +414,11 @@ def _transversal_structure(F, kind, modulus, degree_bound, group_cap):
     """Breadth-first coset walk of the reduction kernel, stored as replayable
     discovery edges (generator index, parent positions, found positions)."""
     R = residue_ring(modulus)
-    Q = ResidueMatrixGroup(R, kind, cap=group_cap)
-    order = Q.order()
-    if order > group_cap:
-        raise CapExceeded(f"transversal walk over {order} cosets is above the cap")
+    Q = ResidueMatrixGroup(R, kind)
+    master = Q.elements(group_cap)
     pi = ReductionHom(R, kind)
     gens = _thin_generators(F, degree_bound)
     gcodes = [np.int64(pi.eval_matrix(g)) for g in gens]
-    master = Q.elements()
     ident_pos = int(np.searchsorted(master, Q.identity_code()))
     known = np.zeros(master.size, dtype=bool)
     known[ident_pos] = True

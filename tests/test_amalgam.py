@@ -34,6 +34,8 @@ from drinfeld.mat2 import (
 )
 from drinfeld.matgroups import ResidueMatrixGroup, code_mat, mat_code
 from drinfeld.poly import Poly, poly_from_string, residue_ring, t_power
+from drinfeld.subgroups import from_quasilevel_abelian
+from drinfeld.subspace import subspace
 
 F2 = field(2)
 F3 = field(3)
@@ -285,6 +287,17 @@ def test_validation_codes_in_target():
     assert err.value.rule == "codes-in-target"
 
 
+def test_validation_codes_in_additive_quotient_target():
+    # a code past q^k agrees with a quotient element in every base-q digit
+    # the group operation reads, but names no element of the quotient
+    h = from_quasilevel_abelian(subspace(F2, 3, [(1, 0, 0)]), P(F2, "0001")).hom
+    data = hom_to_json(h)
+    data["pre_tables"][1][1] += h.target.size
+    with pytest.raises(ValidationError) as err:
+        hom_from_json(data)
+    assert err.value.rule == "codes-in-target"
+
+
 def test_validation_translation_zero():
     h = base_hom()
     t0 = h.pre_tables[0]
@@ -396,7 +409,6 @@ def test_hom_json_roundtrip_tables():
 
 def test_target_json_roundtrip():
     from drinfeld.fingroup import AdditiveQuotientGroup, SymmetricGroup
-    from drinfeld.subspace import subspace
 
     t = ResidueMatrixGroup(residue_ring(P(F2, "001")), "SL")
     t2 = target_from_json(target_to_json(t))

@@ -124,6 +124,59 @@ def test_generator_variant_spec_is_closed(tmp_path, capsys):
     assert idx["index"] == 12
 
 
+def _principal_t2_doc(tmp_path, capsys):
+    spec = tmp_path / "p2.json"
+    code, _, _ = run_cli(
+        capsys,
+        "subgroup", "new", "--family", "principal", "--q", "2",
+        "--modulus", "t^2", "--out", str(spec),
+    )
+    assert code == 0
+    return json.loads(spec.read_text())
+
+
+def _single_error(code, out, err):
+    return code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_generator_codes_outside_target_rejected(tmp_path, capsys):
+    doc = _principal_t2_doc(tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "subgroup": {"generators": [-5]}}))
+    assert _single_error(*run_cli(capsys, "subgroup", "index", "--spec", str(bad)))
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps(doc["hom"]))
+    assert _single_error(*run_cli(
+        capsys,
+        "subgroup", "new", "--family", "generators", "--q", "2",
+        "--hom", str(hom), "--codes=-5",
+    ))
+
+
+def test_listed_codes_outside_target_rejected(tmp_path, capsys):
+    doc = _principal_t2_doc(tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    for codes in ([99999999], [2**70]):
+        bad.write_text(json.dumps({**doc, "subgroup": codes}))
+        assert _single_error(*run_cli(capsys, "subgroup", "index", "--spec", str(bad)))
+
+
+def test_spec_reload_obeys_group_cap(tmp_path, capsys):
+    # SL2 over F_2[t]/t^6 has order 196608, above the default cap: the hom
+    # read back from the spec must enumerate under the cap of the request
+    spec = tmp_path / "p6.json"
+    code, _, _ = run_cli(
+        capsys,
+        "subgroup", "new", "--family", "principal", "--q", "2",
+        "--modulus", "t^6", "--group-cap", "300000", "--out", str(spec),
+    )
+    assert code == 0
+    rep = run_json(
+        capsys, "subgroup", "congruence", "--spec", str(spec), "--group-cap", "300000"
+    )
+    assert rep["congruence"] is True
+
+
 def test_facts_verbs(capsys):
     got = run_json(capsys, "facts", "get", "minimal-proper-index", "--q", "4")
     assert got["value"] == 5
@@ -156,6 +209,13 @@ def test_oracle_verbs(capsys):
         "--matrix", "1,0,0,1",
     )
     assert got["order"] == 1
+    # membership is arithmetic: no enumeration of the order-196608 group
+    got = run_json(
+        capsys,
+        "oracle", "closure", "--group", "sl2", "--q", "2", "--modulus", "t^6",
+        "--matrix", "1,1,0,1",
+    )
+    assert got["order"] == 2
 
 
 def test_scan_json_report(capsys):

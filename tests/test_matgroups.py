@@ -5,6 +5,7 @@ import pytest
 
 from drinfeld.errors import CapExceeded, DomainError
 from drinfeld.fields import field
+from drinfeld.mat2 import Mat2
 from drinfeld.matgroups import (
     ResidueMatrixGroup,
     code_mat,
@@ -105,6 +106,23 @@ def test_member_mask_on_all_elements():
             assert np.all(dets == 1)
 
 
+@pytest.mark.parametrize("F,mod", [(F2, "001"), (F3, "01"), (F2, "011")])
+@pytest.mark.parametrize("kind", ["SL", "GL"])
+def test_member_mask_matches_enumeration(F, mod, kind):
+    R = ring(F, mod)
+    G = ResidueMatrixGroup(R, kind)
+    codes = np.arange(-3, R.size**4 + 3, dtype=np.int64)
+    assert np.array_equal(G.member_mask(codes), np.isin(codes, G.elements()))
+
+
+def test_member_mask_rejects_codes_outside():
+    R = ring(F3, "01")
+    det2 = mat_code(Mat2(R, 2, 0, 0, 1))
+    codes = np.array([-1, R.size**4, det2], dtype=np.int64)
+    assert not ResidueMatrixGroup(R, "SL").member_mask(codes).any()
+    assert ResidueMatrixGroup(R, "GL").member_mask(codes).tolist() == [False, False, True]
+
+
 def test_gl_contains_sl_with_unit_index():
     R = ring(F3, "01")
     sl = ResidueMatrixGroup(R, "SL").elements()
@@ -133,17 +151,23 @@ def test_unit_group_generators():
 
 def test_cap_refusal_before_any_work():
     R = ring(F3, "00001")  # modulus t^4: SL2 order 472392, over the default cap
-    G = ResidueMatrixGroup(R, "SL", cap=100_000)
+    G = ResidueMatrixGroup(R, "SL")
     assert G.order_formula() == 472392
+    with pytest.raises(CapExceeded):
+        G.elements(100_000)
     with pytest.raises(CapExceeded):
         G.elements()
 
 
 def test_cap_checked_on_cached_enumeration():
     R = ring(F2, "0001")  # modulus t^3: SL2 order 384
-    assert ResidueMatrixGroup(R, "SL").elements().size == 384
+    G = ResidueMatrixGroup(R, "SL")
+    # small cap first, then large, then small again: each call obeys its own cap
     with pytest.raises(CapExceeded):
-        ResidueMatrixGroup(R, "SL", cap=100).elements()
+        G.elements(100)
+    assert G.elements(384).size == 384
+    with pytest.raises(CapExceeded):
+        ResidueMatrixGroup(R, "SL").elements(383)
 
 
 def test_mat_code_roundtrip():
@@ -158,12 +182,13 @@ def test_weyl_conjugates_translations():
     from drinfeld.mat2 import translation, weyl
 
     w = mat_code(weyl(R))
-    t = mat_code(translation(R, R.t_code()))
+    tr = R.reduce_poly(poly_from_string(F2, "01"))
+    t = mat_code(translation(R, tr))
     got = G.conj(t, w)
     m = code_mat(R, got)
     # conjugating an upper translation gives the matching lower one
     assert m.b == 0 and m.a == 1 and m.d == 1
-    assert m.c == R.neg(R.t_code())
+    assert m.c == R.neg(tr)
 
 
 def test_kind_validation():

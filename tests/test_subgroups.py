@@ -31,7 +31,7 @@ from drinfeld.subgroups import (
     scalar_congruence_handle,
     sl_part_image,
 )
-from drinfeld.subspace import hyperplanes, subspace, zero_space
+from drinfeld.subspace import iter_subspaces, subspace, zero_space
 
 F2 = field(2)
 F3 = field(3)
@@ -192,7 +192,7 @@ def test_full_and_trivial_subgroup_handles():
 def test_hyperplane_pattern_q2_conductor3():
     m = P(F2, "0001")
     noncong = 0
-    for W in hyperplanes(F2, 3):
+    for W in iter_subspaces(F2, 3, 2):
         h = from_quasilevel_abelian(W, m)
         assert h.index_in_domain() == 2
         rep = is_congruence(h)
@@ -206,14 +206,14 @@ def test_hyperplane_pattern_q2_conductor3():
 
 def test_hyperplane_pattern_q2_conductor2_all_congruence():
     m = P(F2, "001")
-    for W in hyperplanes(F2, 2):
+    for W in iter_subspaces(F2, 2, 1):
         assert is_congruence(from_quasilevel_abelian(W, m)).congruence
 
 
 def test_hyperplane_pattern_q3_conductor2():
     m = P(F3, "001")
     outcomes = {}
-    for W in hyperplanes(F3, 2):
+    for W in iter_subspaces(F3, 2, 1):
         rep = is_congruence(from_quasilevel_abelian(W, m))
         outcomes[W.basis] = rep.congruence
     assert outcomes == {
