@@ -275,6 +275,7 @@ class TableHom:
     pre_tables[i][c] is the image of T(c t^i) for i below the pre-period;
     cyc_tables[r][c] covers i = pre-period + r and repeats with the cycle
     length.  const_table maps 4-tuples of field elements to target codes.
+    The constructor trusts its tables; hom_from_json runs validate().
     """
 
     def __init__(self, F, kind, target, const_table, pre_tables, cyc_tables=None):
@@ -293,7 +294,6 @@ class TableHom:
         self.pre_len = len(self.pre_tables)
         self.cyc_len = len(self.cyc_tables)
         self.conductor = self._conductor()
-        self.validate()
 
     # -- structure
 
@@ -616,7 +616,7 @@ def hom_from_json(data):
             if len(parts) != 4:
                 raise DomainError(f"bad constant key {key!r}")
             const_table[tuple(DIGIT_CHARS.index(p) for p in parts)] = int(v)
-        return TableHom(
+        hom = TableHom(
             F,
             data["kind"],
             target,
@@ -624,4 +624,6 @@ def hom_from_json(data):
             data["pre_tables"],
             data.get("cyc_tables"),
         )
+        hom.validate()
+        return hom
     raise DomainError(f"unknown hom type {kind!r}")

@@ -8,7 +8,7 @@ polynomial ring that fixes 1 and all large-degree monomials.
 
 Applying an automorphism s to a handle (h, U) produces the handle
 (h o s^-1, U) for the image subgroup s(H); the composed map is always
-rebuilt in validated table form.
+rebuilt in table form, valid by construction and not re-checked.
 """
 
 from dataclasses import dataclass
@@ -421,7 +421,7 @@ def apply_auto(auto, handle, config=DEFAULT_CONFIG):
         return out
     auto.validate(handle.F, handle.kind)
     hom2 = compose_with_inverse(handle.hom, auto)
-    return SubgroupHandle(hom2, handle.subgroup, name=handle.name, check=False)
+    return SubgroupHandle(hom2, handle.subgroup, name=handle.name)
 
 
 # -- predicted quasi-level transforms

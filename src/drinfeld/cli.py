@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .amalgam import ReductionHom, hom_from_json, hom_to_json
 from .autos import (
     apply_auto,
@@ -35,8 +37,8 @@ from .mat2 import mat_over_polys, reduce_mat
 from .matgroups import ResidueMatrixGroup, mat_code
 from .poly import MonicIdeal, poly_from_text, residue_ring
 from .subgroups import (
-    SubgroupHandle,
     from_quasilevel_abelian,
+    handle_from_codes,
     handle_from_generators,
     handle_from_json,
     handle_to_json,
@@ -70,44 +72,49 @@ def _field(args):
     return field_from_label(str(args.q))
 
 
-def _load_json(path, what):
+def _load_spec(path, what, build):
+    """Build from a JSON spec file; every refusal is one DomainError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise DomainError(f"{what}: cannot read {path} ({exc.strerror or exc})") from exc
     except json.JSONDecodeError as exc:
         raise DomainError(f"{what}: {path} is not valid JSON (line {exc.lineno})") from exc
+    try:
+        return build(data)
+    except DomainError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what}: malformed field ({exc})") from exc
+
+
+def _parse_codes(text, what):
+    """Element codes from a --codes flag: comma-separated 64-bit integers."""
+    try:
+        return np.array(text.split(","), dtype=np.int64).tolist()
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"{what}: bad --codes ({exc})") from exc
 
 
 def _load_handle(path, config):
-    data = _load_json(path, "subgroup-spec")
-    if not isinstance(data, dict):
-        raise DomainError("subgroup-spec: top level must be a JSON object")
-    for key in ("hom", "subgroup"):
-        if key not in data:
-            raise DomainError(f"subgroup-spec: missing key {key!r}")
-    sub = data["subgroup"]
-    try:
-        if isinstance(sub, dict):
-            if "generators" not in sub:
-                raise DomainError("subgroup-spec: subgroup object needs a 'generators' list")
-            hom = hom_from_json(data["hom"])
-            gens = [int(x) for x in sub["generators"]]
-            return handle_from_generators(
-                hom, gens, config.group_cap, name=data.get("name", "")
-            )
-        return handle_from_json(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"subgroup-spec: malformed field ({exc})") from exc
+    def build(data):
+        if not isinstance(data, dict):
+            raise DomainError("subgroup-spec: top level must be a JSON object")
+        for key in ("hom", "subgroup"):
+            if key not in data:
+                raise DomainError(f"subgroup-spec: missing key {key!r}")
+        sub = data["subgroup"]
+        if not isinstance(sub, dict):
+            return handle_from_json(data)
+        if "generators" not in sub:
+            raise DomainError("subgroup-spec: subgroup object needs a 'generators' list")
+        gens = [int(x) for x in sub["generators"]]
+        return handle_from_generators(
+            hom_from_json(data["hom"]), gens, config.group_cap, name=data.get("name", "")
+        )
 
-
-def _load_auto(path):
-    data = _load_json(path, "auto-spec")
-    try:
-        return auto_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"auto-spec: malformed field ({exc})") from exc
+    return _load_spec(path, "subgroup-spec", build)
 
 
 def _dump(payload):
@@ -180,12 +187,12 @@ def _cmd_subgroup_new(args):
     elif args.family == "generators":
         if not args.hom:
             raise DomainError("subgroup new: the generators family needs --hom")
-        hom = hom_from_json(_load_json(args.hom, "hom-spec"))
+        hom = _load_spec(args.hom, "hom-spec", hom_from_json)
         if not args.codes:
             raise DomainError("subgroup new: the generators family needs --codes")
-        gens = [int(x) for x in args.codes.split(",")]
+        gens = _parse_codes(args.codes, "subgroup new")
         if args.closed:
-            handle = SubgroupHandle(hom, gens, name=name)
+            handle = handle_from_codes(hom, gens, name=name)
         else:
             handle = handle_from_generators(hom, gens, config.group_cap, name=name)
     else:  # pragma: no cover - argparse restricts the choices
@@ -259,7 +266,7 @@ def _cmd_subgroup_core(args):
 
 
 def _cmd_auto_validate(args):
-    auto = _load_auto(args.auto)
+    auto = _load_spec(args.auto, "auto-spec", auto_from_json)
     F = _field(args)
     kind = _kind(args)
     parts = auto if isinstance(auto, list) else [auto]
@@ -277,7 +284,7 @@ def _cmd_auto_validate(args):
 
 def _cmd_auto_apply(args):
     config = _config(args)
-    auto = _load_auto(args.auto)
+    auto = _load_spec(args.auto, "auto-spec", auto_from_json)
     handle = _load_handle(args.spec, config)
     moved = apply_auto(auto, handle, config)
     _write_or_emit(args, handle_to_json(moved))
@@ -408,7 +415,7 @@ def _cmd_oracle_closure(args):
     F = R.F
     gens = []
     if args.codes:
-        gens.extend(int(x) for x in args.codes.split(","))
+        gens.extend(_parse_codes(args.codes, "closure"))
     for quad in args.matrix or []:
         entries = [poly_from_text(F, s) for s in quad.split(",")]
         if len(entries) != 4:

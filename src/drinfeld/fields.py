@@ -17,13 +17,19 @@ from .errors import DomainError
 DIGIT_CHARS = "0123456789abcdef"
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    for d in range(2, int(p**0.5) + 1):
-        if p % d == 0:
-            return False
-    return True
+def prime_factors(n):
+    """Distinct prime factors of n, increasing; n is prime iff this is [n]."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _poly_mod_mul(a, b, modulus, p):
@@ -217,7 +223,7 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def _field_cached(p, n):
-    if not _is_prime(p):
+    if prime_factors(p) != [p]:
         raise DomainError(f"{p} is not prime")
     if n < 1:
         raise DomainError("extension degree must be at least 1")
@@ -240,13 +246,8 @@ def field_from_label(label):
     q = int(text)
     if q > MAX_FIELD_ORDER:
         raise DomainError(f"field order {q} exceeds supported maximum {MAX_FIELD_ORDER}")
-    for p in range(2, q + 1):
-        if _is_prime(p):
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m == 1 and n >= 1:
-                return field(p, n)
-    raise DomainError(f"{label!r} is not a prime power")
+    primes = prime_factors(q)
+    if len(primes) != 1:
+        raise DomainError(f"{label!r} is not a prime power")
+    p = primes[0]
+    return field(p, next(n for n in range(1, q) if p**n == q))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_GROUP_CAP
 from .errors import CapExceeded, DomainError
-from .fields import _is_prime
+from .fields import prime_factors
 
 # ---------------------------------------------------------------------------
 # base protocol
@@ -223,20 +223,6 @@ def derived_subgroup(G, arr, cap=DEFAULT_GROUP_CAP):
         for b in gens:
             comms.append(G.commutator(a, b))
     return normal_closure(G, gens, comms, cap)
-
-
-def prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +543,7 @@ def is_psl2_order_over(q, n):
 
 
 def describe_simple(order):
-    if _is_prime(order):
+    if prime_factors(order) == [order]:
         return FactorDescriptor("cyclic_prime", order, order)
     m = psl2_order_param(order)
     if m is not None:
@@ -569,7 +555,7 @@ def _find_proper_normal(K, cap):
     """Element array of some proper nontrivial normal subgroup, or None."""
     els = K.elements()
     n = int(els.size)
-    if n == 1 or _is_prime(n):
+    if n == 1 or prime_factors(n) == [n]:
         return None
     gens = small_generating_set(K, els)
     orders = orders_arr(K, els)

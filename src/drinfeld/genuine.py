@@ -29,7 +29,7 @@ from math import gcd
 from .autos import corner_map_search, refutation_to_json
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, _is_prime, field, field_from_label
+from .fields import DIGIT_CHARS, field, field_from_label, prime_factors
 from .fingroup import (
     QuotientGroup,
     composition_factors,
@@ -108,7 +108,7 @@ def divisibility_filter(q, kind, index, normal):
                 "normal-index-divisibility",
                 {"q": q, "kind": kind, "index": index, "required_divisor": required},
             )
-    if _is_prime(q) and index < 2 * q:
+    if prime_factors(q) == [q] and index < 2 * q:
         return (
             "small-index-core",
             {"q": q, "kind": kind, "index": index, "bound": 2 * q},
@@ -294,7 +294,6 @@ def verdict(handle, config=DEFAULT_CONFIG):
             handle.hom,
             handle.core(config.group_cap),
             name=f"core of {handle.name}" if handle.name else "normal core",
-            check=False,
         )
         prov.append("core-reduction")
         inner = verdict(core_handle, config)
@@ -405,7 +404,7 @@ def facts_lookup(key, **kw):
         return q if q <= 3 else psl2_order(q)
     if key == "genuine-minimum-lower-bound":
         q = kw["q"]
-        if not _is_prime(q):
+        if prime_factors(q) != [q]:
             raise DomainError("the genuine minimum bound needs a prime field")
         return 2 * q
     if key == "normal-genuine-minimum-lower-bound":

@@ -145,19 +145,16 @@ def check_in_target(target, codes):
 class SubgroupHandle:
     """A homomorphism h plus a subgroup U of its finite target.
 
-    Stands for the preimage of U under h inside the domain matrix group.
-    The subgroup array is validated to lie in the target and be closed;
+    Stands for the preimage of U under h inside the domain matrix group;
     the effective subgroup is the intersection of U with the image of h.
+    U is trusted to be a subgroup; handle_from_codes checks outside input.
     """
 
-    def __init__(self, hom, subgroup, name="", check=True):
+    def __init__(self, hom, subgroup, name=""):
         self.hom = hom
         arr = np.unique(np.asarray(subgroup, dtype=np.int64))
         if arr.size == 0:
             raise DomainError("a subgroup needs at least the identity")
-        if check:
-            check_in_target(self.target, arr)
-            small_generating_set(self.target, arr)
         self.subgroup = arr
         self.name = name
         self._image = None
@@ -215,17 +212,24 @@ def handle_to_json(handle):
 
 
 def handle_from_json(data):
-    return SubgroupHandle(
-        hom_from_json(data["hom"]),
-        data["subgroup"],
-        name=data.get("name", ""),
+    return handle_from_codes(
+        hom_from_json(data["hom"]), data["subgroup"], name=data.get("name", "")
     )
+
+
+def handle_from_codes(hom, codes, name=""):
+    """Handle for codes listing a whole subgroup; refuses codes outside the
+    target and a list that is not closed."""
+    handle = SubgroupHandle(hom, codes, name=name)
+    check_in_target(hom.target, handle.subgroup)
+    small_generating_set(hom.target, handle.subgroup)
+    return handle
 
 
 def handle_from_generators(hom, gens, cap=DEFAULT_GROUP_CAP, name=""):
     """Handle for the subgroup the given target codes generate."""
     check_in_target(hom.target, gens)
-    return SubgroupHandle(hom, closure(hom.target, gens, cap), name=name, check=False)
+    return SubgroupHandle(hom, closure(hom.target, gens, cap), name=name)
 
 
 def quasi_level(handle, config=DEFAULT_CONFIG):
@@ -360,7 +364,7 @@ def congruence_at(handle, ql, config=DEFAULT_CONFIG):
 def principal_congruence_handle(hom, ideal, config=DEFAULT_CONFIG, name=""):
     """Handle for the preimage of the image of the reduction kernel."""
     U = congruence_image(hom, ideal, config)
-    return SubgroupHandle(hom, U, name=name, check=False)
+    return SubgroupHandle(hom, U, name=name)
 
 
 def scalar_congruence_handle(modulus, kind="SL"):

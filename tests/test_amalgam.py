@@ -258,7 +258,9 @@ def test_gl_image_is_proper_for_higher_modulus():
 
 
 def tampered(hom, **kw):
-    return TableHom(
+    """Load a copy of the hom with some tables replaced; tables are
+    validated where they enter, so the rules run in hom_from_json."""
+    built = TableHom(
         hom.F,
         kw.get("kind", hom.kind),
         hom.target,
@@ -266,6 +268,7 @@ def tampered(hom, **kw):
         kw.get("pre_tables", hom.pre_tables),
         kw.get("cyc_tables", hom.cyc_tables),
     )
+    return hom_from_json(hom_to_json(built))
 
 
 def base_hom():

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from helpers import random_gl2, random_poly, random_sl2
 
-from drinfeld.amalgam import ReductionHom, reduction_as_table_hom
+from drinfeld.amalgam import (
+    ReductionHom,
+    TableHom,
+    hom_from_json,
+    hom_to_json,
+    reduction_as_table_hom,
+)
 from drinfeld.autos import (
     ContragredientAuto,
     DetTwistAuto,
@@ -26,6 +32,7 @@ from drinfeld.autos import (
     refute_genuineness,
     transform_quasi_level,
 )
+from drinfeld.config import DEFAULT_CONFIG
 from drinfeld.errors import DomainError
 from drinfeld.fields import field
 from drinfeld.mat2 import mat_over_polys, poly_ring, translation, weyl
@@ -38,6 +45,7 @@ from drinfeld.subgroups import (
 )
 from drinfeld.poly import MonicIdeal
 from drinfeld.subspace import subspace, zero_space
+from drinfeld.verify import campaign_pairs
 
 F2 = field(2)
 F3 = field(3)
@@ -125,6 +133,7 @@ def test_compose_matches_direct_route(q, mod):
     for auto in sample_autos(F):
         composed = compose_with_inverse(hom, auto)
         inv = auto.inverse()
+        assert composed.validate()
         for _ in range(20):
             m = random_sl2(F, rng)
             assert composed.eval_matrix(m) == hom.eval_matrix(inv.apply_matrix(m))
@@ -134,6 +143,7 @@ def test_compose_det_twist_gl():
     hom = ReductionHom(residue_ring(P(F3, "01")), "GL")
     tw = DetTwistAuto(1)
     composed = compose_with_inverse(hom, tw)
+    assert composed.validate()
     k2 = tw.inverse_exponent(F3)
     inv_like = DetTwistAuto(k2)
     rng = np.random.default_rng(131)
@@ -146,6 +156,7 @@ def test_compose_table_hom_nonstandard():
     handle = from_quasilevel_abelian(zero_space(F2, 3), P(F2, "0001"))
     swap = NonStandardAuto(F2.label, (one(F2), t_power(F2, 2), t_power(F2, 1)))
     composed = compose_with_inverse(handle.hom, swap)
+    assert composed.validate()
     inv = swap.inverse()
     rng = np.random.default_rng(137)
     for _ in range(25):
@@ -310,3 +321,29 @@ def test_reduction_hom_conversion_in_apply():
     moved = apply_auto(shift, handle)
     assert is_congruence(moved).congruence
     assert moved.index_in_domain() == handle.index_in_domain()
+
+
+def test_campaign_homs_pass_validation():
+    # homs built inside the program are not re-checked, so check here that
+    # the builders make valid tables: the abelian handles and their images
+    # under the campaign's substitutions and corner maps
+    for handle, auto in campaign_pairs(DEFAULT_CONFIG):
+        assert handle.hom.validate()
+        assert compose_with_inverse(handle.hom, auto).validate()
+
+
+def test_search_validates_nothing_and_loader_validates_once(monkeypatch):
+    calls = []
+    validate = TableHom.validate
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(TableHom, "validate", counting)
+    h = from_quasilevel_abelian(subspace(F2, 3, [(1, 0, 0)]), P(F2, "0001"))
+    outcome = refute_genuineness(h)
+    assert outcome.tried > 0
+    assert calls == []
+    hom_from_json(hom_to_json(h.hom))
+    assert len(calls) == 1

@@ -161,6 +161,49 @@ def test_listed_codes_outside_target_rejected(tmp_path, capsys):
         assert _single_error(*run_cli(capsys, "subgroup", "index", "--spec", str(bad)))
 
 
+def test_tampered_tables_spec_rejected(tmp_path, capsys):
+    # table homs are validated where they enter: on loading a spec
+    spec = tmp_path / "ab.json"
+    code, _, _ = run_cli(
+        capsys,
+        "subgroup", "new", "--family", "abelian", "--q", "2",
+        "--modulus", "t^3", "--basis", "010,001", "--out", str(spec),
+    )
+    assert code == 0
+    doc = json.loads(spec.read_text())
+    table = doc["hom"]["const_table"]
+    key = next(k for k, v in table.items() if v != 0)
+    table[key] = 0
+    spec.write_text(json.dumps(doc))
+    assert _single_error(*run_cli(capsys, "subgroup", "index", "--spec", str(spec)))
+
+
+@pytest.mark.parametrize(
+    "hom_doc,codes",
+    [
+        (None, "a"),
+        (None, str(2**70)),
+        (None, "1,,2"),
+        ({"type": "reduction"}, "0"),
+        ([], "0"),
+    ],
+)
+def test_bad_codes_and_hom_files_rejected(tmp_path, capsys, hom_doc, codes):
+    doc = _principal_t2_doc(tmp_path, capsys)
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps(doc["hom"] if hom_doc is None else hom_doc))
+    assert _single_error(*run_cli(
+        capsys,
+        "subgroup", "new", "--family", "generators", "--q", "2",
+        "--hom", str(hom), f"--codes={codes}",
+    ))
+    if hom_doc is None:
+        assert _single_error(*run_cli(
+            capsys,
+            "oracle", "closure", "--q", "2", "--modulus", "t^2", f"--codes={codes}",
+        ))
+
+
 def test_spec_reload_obeys_group_cap(tmp_path, capsys):
     # SL2 over F_2[t]/t^6 has order 196608, above the default cap: the hom
     # read back from the spec must enumerate under the cap of the request
@@ -244,6 +287,9 @@ def test_malformed_spec_named_rule(tmp_path, capsys):
     bad.write_text(json.dumps({"subgroup": [0]}))
     code, _, err = run_cli(capsys, "subgroup", "ql", "--spec", str(bad))
     assert code == 1 and "missing key 'hom'" in err
+
+    bad.write_text(json.dumps({"hom": [], "subgroup": [0]}))
+    assert _single_error(*run_cli(capsys, "subgroup", "ql", "--spec", str(bad)))
 
     bad.write_text("{ not json")
     code, _, err = run_cli(capsys, "subgroup", "ql", "--spec", str(bad))

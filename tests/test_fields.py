@@ -3,7 +3,7 @@
 import pytest
 
 from drinfeld.errors import DomainError
-from drinfeld.fields import field, field_from_label
+from drinfeld.fields import field, field_from_label, prime_factors
 
 
 def brute_order(F, a):
@@ -132,6 +132,16 @@ def test_field_from_label():
     assert field_from_label("16") is field(2, 4)
     with pytest.raises(DomainError):
         field_from_label("6")
+    for label in ("1", "0", "-4", "12", "1^1", "4^1"):
+        with pytest.raises(DomainError):
+            field_from_label(label)
+
+
+def test_prime_factors_against_trial_division():
+    for n in range(-3, 400):
+        want = [d for d in range(2, n + 1) if n % d == 0 and all(d % e for e in range(2, d))]
+        assert prime_factors(n) == want
+    assert prime_factors(2**5 * 3 * 101) == [2, 3, 101]
 
 
 def test_check_rejects_out_of_range():

@@ -321,7 +321,7 @@ def test_verdict_non_normal_core_reduction():
     v = verdict(h, starved)
     assert "core-reduction" in v.provenance
     assert "congruence:cap-skipped" in v.provenance
-    core_handle = SubgroupHandle(hom, h.core(), check=False)
+    core_handle = SubgroupHandle(hom, h.core())
     inner = verdict(core_handle, starved)
     assert (v.outcome, v.reason) == (inner.outcome, inner.reason)
 

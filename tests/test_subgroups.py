@@ -20,6 +20,7 @@ from drinfeld.subgroups import (
     SubgroupHandle,
     congruence_image,
     from_quasilevel_abelian,
+    handle_from_codes,
     handle_from_json,
     handle_to_json,
     is_congruence,
@@ -162,7 +163,7 @@ def test_reduction_handles_are_always_congruence():
     for _ in range(10):
         seeds = rng.choice(full, size=2)
         U = closure(G, [int(x) for x in seeds])
-        h = SubgroupHandle(hom, U, check=False)
+        h = SubgroupHandle(hom, U)
         assert is_congruence(h).congruence
 
 
@@ -178,7 +179,7 @@ def test_scalar_congruence_handle():
 
 def test_full_and_trivial_subgroup_handles():
     hom = ReductionHom(residue_ring(P(F2, "01")), "SL")
-    full = SubgroupHandle(hom, hom.target.elements(), check=False)
+    full = SubgroupHandle(hom, hom.target.elements())
     assert full.index_in_domain() == 1
     assert is_congruence(full).congruence
     assert quasi_level(full).level.gen == P(F2, "1")
@@ -251,9 +252,11 @@ def test_handle_checks_closedness():
     w = hom.eval_matrix(weyl(poly_ring(F2)))
     t1 = hom.eval_matrix(translation(poly_ring(F2), P(F2, "1")))
     with pytest.raises(DomainError):
-        SubgroupHandle(hom, [hom.target.identity_code(), w, t1])
+        handle_from_codes(hom, [hom.target.identity_code(), w, t1])
     with pytest.raises(DomainError):
-        SubgroupHandle(hom, [])
+        handle_from_codes(hom, [hom.target.identity_code(), -1])
+    with pytest.raises(DomainError):
+        handle_from_codes(hom, [])
 
 
 def test_handle_json_roundtrip():
