@@ -28,8 +28,8 @@ from .fingroup import (
     first_outside,
 )
 from .mat2 import (
-    Mat2,
     borel_mat,
+    domain_generator_matrices,
     mat_over_polys,
     poly_ring,
     reduce_mat,
@@ -254,13 +254,8 @@ class ReductionHom:
 
     def image_generators(self):
         """Images of the standard generators of the domain group."""
-        return [int(g) for g in self.target.generators()] if self.kind == "SL" else self._gl_gens()
-
-    def _gl_gens(self):
-        gens = [int(g) for g in ResidueMatrixGroup(self.ring, "SL").generators()]
-        for u in self.F.units():
-            gens.append(int(mat_code(Mat2(self.ring, u, 0, 0, 1))))
-        return sorted(set(gens))
+        mats = domain_generator_matrices(self.F, self.kind, self.ring.d)
+        return sorted({self.eval_matrix(m) for m in mats})
 
     def image_elements(self, cap=DEFAULT_GROUP_CAP):
         return closure(self.target, self.image_generators(), cap)

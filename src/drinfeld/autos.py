@@ -200,8 +200,7 @@ class NonStandardAuto:
         rows = []
         for j in range(dim):
             if j < len(self.images):
-                p = self.images[j]
-                rows.append(tuple(p.coeffs[i] if i < len(p.coeffs) else 0 for i in range(dim)))
+                rows.append(self.images[j].coeff_vector(dim))
             else:
                 rows.append(tuple(1 if i == j else 0 for i in range(dim)))
         return rows
@@ -536,13 +535,9 @@ def _independent_prefix(F, dim, rows):
 def corner_map_between(F, d, source_polys, target_polys, fix_one_outside):
     """F_q-linear bijection on degrees below d with phi(1)=1 mapping the
     source span onto the target span, basis vector by basis vector."""
-
-    def coords(p):
-        return tuple(p.coeffs[i] if i < len(p.coeffs) else 0 for i in range(d))
-
-    one_vec = tuple(1 if i == 0 else 0 for i in range(d))
-    src = [coords(p) for p in source_polys]
-    tgt = [coords(p) for p in target_polys]
+    one_vec = one(F).coeff_vector(d)
+    src = [p.coeff_vector(d) for p in source_polys]
+    tgt = [p.coeff_vector(d) for p in target_polys]
     if fix_one_outside:
         src = [one_vec] + src
         tgt = [one_vec] + tgt
@@ -575,14 +570,8 @@ def _corner_candidates(F, ql):
     has_one = ql.contains(one(F))
     basis_polys = _lift_rows(ql)
     if has_one:
-        ordered = [one(F)] + basis_polys
-        basis_polys = []
-        span = subspace(F, d, [])
-        for p in ordered:
-            vec = tuple(p.coeffs[i] if i < len(p.coeffs) else 0 for i in range(d))
-            if not span.contains(vec):
-                basis_polys.append(p)
-                span = span.sum_with(subspace(F, d, [vec]))
+        rows = [p.coeff_vector(d) for p in [one(F)] + basis_polys]
+        basis_polys = [Poly(F, r) for r in _independent_prefix(F, d, rows)]
     k = len(basis_polys)
     cands = []
     for combo in combinations(range(d), k):

@@ -56,12 +56,15 @@ GROUP_KINDS = {"sl2": "SL", "gl2": "GL"}
 
 
 def _config(args):
-    return RunConfig(
-        group_cap=args.group_cap,
-        enum_cap=args.enum_cap,
-        search_budget=args.budget,
-        seed=args.seed,
-    )
+    try:
+        return RunConfig(
+            group_cap=args.group_cap,
+            enum_cap=args.enum_cap,
+            search_budget=args.budget,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
 
 
 def _kind(args):
@@ -489,8 +492,16 @@ def _add_group_flags(parser, need_modulus=True):
         parser.add_argument("--modulus", required=True, help='monic modulus, e.g. "t^2" or "001"')
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses malformed flags with a DomainError, so they exit 1 as other
+    bad input does; exit 2 stays reserved for a hit cap."""
+
+    def error(self, message):
+        raise DomainError(f"{message} (see {self.prog} --help)")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drinfeld",
         description="Exact congruence/genuineness toolkit for SL2 and GL2 over F_q[t].",
     )
@@ -596,9 +607,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,6 +42,8 @@ class RunConfig:
             )
         if self.group_cap <= 0 or self.enum_cap <= 0:
             raise ValueError("caps must be positive")
+        if self.search_budget < 0 or self.seed < 0:
+            raise ValueError("search budget and seed must not be negative")
 
 
 DEFAULT_CONFIG = RunConfig()

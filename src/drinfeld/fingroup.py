@@ -89,44 +89,42 @@ def conj_array(G, arr, g):
 # closure and friends
 
 
+def _orbit(seeds, images, cap, refusal):
+    """Smallest superset of the sorted seeds that contains images(x) for
+    every x in it, grown breadth first; refused once past the cap."""
+    known = frontier = seeds
+    while frontier.size:
+        found = np.unique(images(frontier))
+        frontier = found[np.isin(found, known, assume_unique=True, invert=True)]
+        if frontier.size == 0:
+            break
+        known = np.union1d(known, frontier)
+        if known.size > cap:
+            raise CapExceeded(refusal)
+    return known
+
+
 def closure(G, gens, cap=DEFAULT_GROUP_CAP):
     """Sorted element array of the subgroup generated by the given codes."""
     gens = as_code_array(list(gens) + [G.identity_code()])
-    known = gens
-    frontier = gens
-    while frontier.size:
-        prods = np.unique(G.op(frontier[:, None], gens[None, :]).ravel())
-        new = prods[np.isin(prods, known, assume_unique=True, invert=True)]
-        if new.size == 0:
-            break
-        known = np.union1d(known, new)
-        if known.size > cap:
-            raise CapExceeded(
-                f"subgroup closure grew past the cap of {cap} elements"
-            )
-        frontier = new
-    return known
+    return _orbit(
+        gens,
+        lambda xs: G.op(xs[:, None], gens[None, :]).ravel(),
+        cap,
+        f"subgroup closure grew past the cap of {cap} elements",
+    )
 
 
 def conj_orbit(G, parent_gens, seeds, cap=DEFAULT_GROUP_CAP):
     """Smallest set containing the seeds and stable under conjugation by the
     subgroup the parent generators generate."""
-    pg = as_code_array(parent_gens)
-    orbit = as_code_array(seeds)
-    frontier = orbit
-    while frontier.size:
-        batches = []
-        for g in pg:
-            batches.append(conj_array(G, frontier, int(g)))
-        prods = np.unique(np.concatenate(batches))
-        new = prods[np.isin(prods, orbit, assume_unique=True, invert=True)]
-        if new.size == 0:
-            break
-        orbit = np.union1d(orbit, new)
-        if orbit.size > cap:
-            raise CapExceeded(f"conjugation orbit grew past the cap of {cap}")
-        frontier = new
-    return orbit
+    pg = [int(g) for g in as_code_array(parent_gens)]
+    return _orbit(
+        as_code_array(seeds),
+        lambda xs: np.concatenate([conj_array(G, xs, g) for g in pg]),
+        cap,
+        f"conjugation orbit grew past the cap of {cap}",
+    )
 
 
 def normal_closure(G, parent_gens, seeds, cap=DEFAULT_GROUP_CAP):

@@ -99,10 +99,7 @@ def divisibility_filter(q, kind, index, normal):
     subgroup) cannot be genuine either.
     """
     if normal:
-        if kind == "SL":
-            required = q * psl2_order(q) if q > 3 else q * q
-        else:
-            required = q * q * (q * q - 1) if q > 3 else q * q
+        required = facts_lookup("normal-genuine-minimum-lower-bound", kind=kind, q=q)
         if index % required:
             return (
                 "normal-index-divisibility",

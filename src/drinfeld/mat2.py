@@ -164,6 +164,20 @@ def weyl(ring):
     return Mat2(ring, ring.zero(), ring.neg(one_), one_, ring.zero())
 
 
+def domain_generator_matrices(F, kind, degree_bound):
+    """The domain group's generators: the Weyl element, the translations
+    T(c t^i) for units c and degrees i below the bound, and for GL over a
+    field with more than two elements one constant diagonal diag(g, 1)."""
+    R = poly_ring(F)
+    mats = [weyl(R)]
+    for i in range(degree_bound):
+        for c in F.units():
+            mats.append(translation(R, Poly(F, [0] * i + [c])))
+    if kind == "GL" and F.q > 2:
+        mats.append(diag_mat(R, F.multiplicative_generator(), 1))
+    return mats
+
+
 def mat_over_polys(F, entries):
     """Build a polynomial matrix from four Poly (or field-element) entries."""
     R = poly_ring(F)

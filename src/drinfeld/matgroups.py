@@ -10,9 +10,9 @@ import numpy as np
 
 from .config import DEFAULT_GROUP_CAP
 from .errors import DomainError
-from .fingroup import FinGroup, closure, refuse_above
-from .mat2 import Mat2, translation, weyl
-from .poly import factorize, t_power
+from .fingroup import FinGroup, closure, refuse_above, small_generating_set
+from .mat2 import Mat2, domain_generator_matrices, reduce_mat
+from .poly import factorize
 
 _ENUM_CACHE = {}
 
@@ -34,34 +34,6 @@ def code_mat(R, code):
     b = code % S
     a = code // S
     return Mat2(R, a, b, c, d)
-
-
-def unit_group_generators(R):
-    """Greedy small generating set for the unit group of a residue ring."""
-    units = R.units()
-    target = len(units)
-    gens = []
-    have = {1}
-    for u in units:
-        if u in have:
-            continue
-        gens.append(u)
-        have = {1}
-        frontier = [1]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = R.mul(x, g)
-                    if y not in have:
-                        have.add(y)
-                        new.append(y)
-            frontier = new
-        if len(have) == target:
-            break
-    if len(have) != target:
-        raise AssertionError("unit group closure failed")
-    return gens
 
 
 class ResidueMatrixGroup(FinGroup):
@@ -131,17 +103,14 @@ class ResidueMatrixGroup(FinGroup):
         return int(self.encode(1, 0, 0, 1))
 
     def generators(self):
+        """Reductions of the domain generators of SL2; for GL2 also the
+        diagonals diag(u, 1) that generate the ring's unit group."""
         R = self.R
-        gens = []
-        for i in range(R.d):
-            base = t_power(R.F, i)
-            for c in R.F.units():
-                gens.append(mat_code(translation(R, R.reduce_poly(base.scale(c)))))
-        gens.append(mat_code(weyl(R)))
+        gens = {mat_code(reduce_mat(m, R)) for m in domain_generator_matrices(R.F, "SL", R.d)}
         if self.kind == "GL":
-            for u in unit_group_generators(R):
-                gens.append(mat_code(Mat2(R, u, 0, 0, 1)))
-        return sorted(set(gens))
+            diagonals = self.encode(np.asarray(R.units(), dtype=np.int64), 0, 0, 1)
+            gens.update(small_generating_set(self, diagonals))
+        return sorted(gens)
 
     def order_formula(self):
         """Exact order from the modulus factorization."""

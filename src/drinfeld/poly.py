@@ -41,6 +41,10 @@ class Poly:
             raise DomainError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    def coeff_vector(self, n):
+        """The coefficients of t^0 .. t^(n-1), padded with zeros."""
+        return self.coeffs[:n] + (0,) * (n - len(self.coeffs))
+
     def constant_term(self):
         return self.coeffs[0] if self.coeffs else 0
 

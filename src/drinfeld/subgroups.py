@@ -29,6 +29,7 @@ from .fingroup import (
     AdditiveQuotientGroup,
     ProductGroup,
     closure,
+    contains_sorted,
     core_in,
     derived_subgroup,
     first_outside,
@@ -36,7 +37,7 @@ from .fingroup import (
     small_generating_set,
 )
 from .matgroups import ResidueMatrixGroup, mat_code
-from .mat2 import Mat2, diag_mat, poly_ring, translation, weyl
+from .mat2 import Mat2, domain_generator_matrices, translation
 from .poly import MonicIdeal, Poly, poly_gcd, residue_ring, t_power
 from .subspace import SubspaceDesc, subspace
 
@@ -50,8 +51,7 @@ def prime_coordinates(F, a, modulus):
     """
     r = a % modulus
     out = []
-    for i in range(modulus.degree):
-        c = r.coeffs[i] if i < len(r.coeffs) else 0
+    for c in r.coeff_vector(modulus.degree):
         out.extend(F.to_digits(c))
     return tuple(out)
 
@@ -194,9 +194,7 @@ class SubgroupHandle:
         return core_in(self.target, gens, self.intersection(cap))
 
     def contains_matrix(self, m):
-        code = self.hom.eval_matrix(m)
-        i = np.searchsorted(self.subgroup, code)
-        return i < self.subgroup.size and int(self.subgroup[i]) == code
+        return contains_sorted(self.subgroup, self.hom.eval_matrix(m))
 
     def __repr__(self):
         label = self.name or f"{self.subgroup.size} target elements"
@@ -269,18 +267,6 @@ def quasi_level(handle, config=DEFAULT_CONFIG):
         raise DomainError("membership set is not additively closed")
     level = largest_ideal_inside(F, hom.conductor, W)
     return QuasiLevel(F, hom.conductor, W, level, int(core.size))
-
-
-def domain_generator_matrices(F, kind, degree_bound):
-    """Generators of the domain group with translation degrees below the bound."""
-    R = poly_ring(F)
-    mats = [weyl(R)]
-    for i in range(degree_bound):
-        for c in F.units():
-            mats.append(translation(R, Poly(F, [0] * i + [c])))
-    if kind == "GL" and F.q > 2:
-        mats.append(diag_mat(R, F.multiplicative_generator(), 1))
-    return mats
 
 
 def _translation_degree_bound(hom, other):
@@ -427,10 +413,7 @@ def from_quasilevel_abelian(W, modulus, kind="SL"):
     target = AdditiveQuotientGroup(W)
 
     def class_code(a):
-        r = a % modulus
-        vec = tuple(
-            r.coeffs[i] if i < len(r.coeffs) else 0 for i in range(modulus.degree)
-        )
+        vec = (a % modulus).coeff_vector(modulus.degree)
         return int(target.vector_to_code(vec))
 
     pre, cyc, _ = t_power_cycle(R)

@@ -4,10 +4,16 @@ from math import lcm
 
 from drinfeld.amalgam import ReductionHom
 from drinfeld.fingroup import closure
-from drinfeld.mat2 import diag_mat, mat_over_polys, poly_ring, translation, weyl
+from drinfeld.mat2 import (
+    diag_mat,
+    domain_generator_matrices,
+    mat_over_polys,
+    poly_ring,
+    translation,
+    weyl,
+)
 from drinfeld.matgroups import ResidueMatrixGroup
 from drinfeld.poly import Poly, residue_ring
-from drinfeld.subgroups import domain_generator_matrices
 
 
 def schreier_congruence_image(hom, modulus_ideal):

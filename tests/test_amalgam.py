@@ -245,13 +245,12 @@ def test_image_generators_closure_is_full_sl():
 def test_gl_image_is_proper_for_higher_modulus():
     # determinants of reduced matrices stay in the constants, so the image
     # of the unit-determinant group is smaller than full GL2 of the ring
-    R = residue_ring(P(F2, "001"))
-    red = ReductionHom(R, "GL")
-    im = red.image_elements()
-    full = ResidueMatrixGroup(R, "GL").elements()
-    assert im.size == 48
-    assert full.size == 96
-    assert np.isin(im, full).all()
+    for F, mod, image, order in ((F2, "001", 48, 96), (F3, "001", 1296, 3888)):
+        R = residue_ring(P(F, mod))
+        im = ReductionHom(R, "GL").image_elements()
+        full = ResidueMatrixGroup(R, "GL").elements()
+        assert (im.size, full.size) == (image, order)
+        assert np.isin(im, full).all()
 
 
 # -- validation rule triggers

@@ -309,6 +309,38 @@ def test_cap_exhaustion_exits_two(tmp_path, capsys):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--group-cap", "2000000"),
+        ("--enum-cap", "0"),
+        ("--seed", "-1"),
+        ("--budget", "-1"),
+        ("--group-cap", "x"),
+    ],
+)
+def test_bad_cap_budget_and_seed_flags_rejected(capsys, flag, value):
+    assert _single_error(*run_cli(
+        capsys, "oracle", "enumerate", "--q", "2", "--modulus", "t", flag, value,
+    ))
+
+
+def test_fresh_and_warm_process_agree(capsys):
+    argv = ["genuine", "scan", "--q", "2", "--bound", "t^3", "--max-index", "6", "--json"]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "drinfeld", *argv], capture_output=True, check=True
+    )
+    # warm this process with a large enumeration under a raised cap first
+    code, _, _ = run_cli(
+        capsys,
+        "oracle", "enumerate", "--q", "2", "--modulus", "t^6", "--group-cap", "300000",
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.strip()
+    assert out.encode() == fresh.stdout
+
+
 def test_process_level_determinism():
     cmd = [
         sys.executable, "-m", "drinfeld",

@@ -134,6 +134,8 @@ def test_conj_orbit_is_conjugacy_class():
     assert orbit.size == 6  # six transpositions
     orbit = conj_orbit(S4, gens, codes(S4, [DBL]))
     assert orbit.size == 3
+    with pytest.raises(CapExceeded, match="conjugation orbit grew past the cap"):
+        conj_orbit(S4, gens, codes(S4, [SWAP01]), cap=5)
 
 
 def test_is_normal():

@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
+from drinfeld.config import DEFAULT_CONFIG
 from drinfeld.errors import CapExceeded, DomainError
 from drinfeld.fields import field
 from drinfeld.mat2 import Mat2
-from drinfeld.matgroups import (
-    ResidueMatrixGroup,
-    code_mat,
-    mat_code,
-    unit_group_generators,
-)
+from drinfeld.matgroups import ResidueMatrixGroup, code_mat, mat_code
 from drinfeld.poly import poly_from_string, residue_ring
+from drinfeld.verify import order_facts
 
 F2 = field(2)
 F3 = field(3)
@@ -132,9 +129,12 @@ def test_gl_contains_sl_with_unit_index():
 
 
 def test_unit_group_generators():
+    # the GL2 generators beyond SL2 are diagonals diag(u, 1) whose entries
+    # u generate the unit group of the ring
     for F, mod in ((F2, "0001"), (F3, "001"), (F2, "011")):
         R = ring(F, mod)
-        gens = unit_group_generators(R)
+        mats = [code_mat(R, g) for g in ResidueMatrixGroup(R, "GL").generators()]
+        gens = [m.a for m in mats if (m.b, m.c, m.d) == (0, 0, 1)]
         have = {1}
         frontier = [1]
         while frontier:
@@ -147,6 +147,21 @@ def test_unit_group_generators():
                         new.append(y)
             frontier = new
         assert have == set(R.units())
+
+
+def test_order_facts_enumerates(monkeypatch):
+    # criterion 1 counts the groups by enumeration, not by the order formula
+    calls = []
+    enumerate_ = ResidueMatrixGroup.elements
+
+    def counted(self, cap=DEFAULT_CONFIG.group_cap):
+        calls.append(self)
+        return enumerate_(self, cap)
+
+    monkeypatch.setattr(ResidueMatrixGroup, "elements", counted)
+    passed, expected, computed = order_facts(DEFAULT_CONFIG, {})
+    assert passed and computed == [6, 24, 48, 36]
+    assert len(calls) == 4
 
 
 def test_cap_refusal_before_any_work():
