@@ -19,7 +19,7 @@ import numpy as np
 
 from .config import DEFAULT_GROUP_CAP
 from .errors import DomainError, MalformedWord, ValidationError
-from .fields import DIGIT_CHARS, field_from_label
+from .fields import field_from_label
 from .fingroup import (
     AdditiveQuotientGroup,
     SymmetricGroup,
@@ -38,12 +38,14 @@ from .mat2 import (
 )
 from .matgroups import ResidueMatrixGroup, mat_code
 from .poly import (
+    DIGIT_CHARS,
     MonicIdeal,
     Poly,
     one as poly_one,
     poly_from_string,
     residue_ring,
     t_power,
+    t_var,
 )
 from .subspace import SubspaceDesc
 
@@ -476,22 +478,23 @@ class TableHom:
         )
 
 
-def t_power_cycle(R):
-    """Pre-period and cycle of the sequence t^0, t^1, ... in the ring.
+def t_power_cycle(R, u=None):
+    """Pre-period and cycle of the powers 1, u, u^2, ... in the ring.
 
-    Returns (pre, cycle, codes) where codes lists the pre + cycle distinct
-    reductions in order of first appearance.
+    u is the residue code standing for t, by default t itself.  Returns
+    (pre, cycle, codes) where codes lists the pre + cycle distinct powers
+    in order of first appearance.
     """
+    if u is None:
+        u = R.reduce_poly(t_var(R.F))
     seen = {}
     codes = []
-    i = 0
-    while True:
-        code = R.reduce_poly(t_power(R.F, i))
-        if code in seen:
-            return seen[code], i - seen[code], codes
-        seen[code] = i
+    code = R.one()
+    while code not in seen:
+        seen[code] = len(codes)
         codes.append(code)
-        i += 1
+        code = R.mul(code, u)
+    return seen[code], len(codes) - seen[code], codes
 
 
 def reduction_as_table_hom(R, kind="SL"):

@@ -20,13 +20,23 @@ from .amalgam import (
     matrix_to_word,
     reduction_as_table_hom,
     ReductionHom,
+    t_power_cycle,
     word_matrix,
 )
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
 from .fields import field_from_label
 from .mat2 import Mat2, mat_over_polys
-from .poly import MonicIdeal, Poly, one, poly_from_string, residue_ring, t_power
+from .poly import (
+    MonicIdeal,
+    Poly,
+    code_to_digits,
+    digits_to_code,
+    one,
+    poly_from_string,
+    residue_ring,
+    t_power,
+)
 from .subgroups import (
     CongruenceReport,
     QuasiLevel,
@@ -59,10 +69,6 @@ class InnerAuto:
     def apply_matrix(self, m):
         return self.g * m * self.g.inv()
 
-    @property
-    def standard(self):
-        return True
-
 
 @dataclass(frozen=True)
 class ContragredientAuto:
@@ -76,10 +82,6 @@ class ContragredientAuto:
 
     def apply_matrix(self, m):
         return m.transpose().inv()
-
-    @property
-    def standard(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,6 @@ class DetTwistAuto:
             raise DomainError("determinant twist needs a unit determinant")
         c = F.pow_(d.coeffs[0], self.exponent)
         return Mat2(m.ring, *(e.scale(c) for e in m.entries()))
-
-    @property
-    def standard(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -165,10 +163,6 @@ class RingAuto:
 
     def apply_matrix(self, m):
         return Mat2(m.ring, *(self.apply_poly(e) for e in m.entries()))
-
-    @property
-    def standard(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -254,10 +248,6 @@ class NonStandardAuto:
             else:
                 out.append(letter)
         return word_matrix(F, out)
-
-    @property
-    def standard(self):
-        return False
 
 
 def auto_to_json(auto):
@@ -366,15 +356,7 @@ def compose_with_inverse(hom, auto):
         f = table.conductor.gen
         R = residue_ring(f)
         u = R.reduce_poly(inv.apply_poly(Poly(F, [0, 1])))
-        seen = {}
-        residues = []
-        acc = R.from_field(1)
-        while acc not in seen:
-            seen[acc] = len(residues)
-            residues.append(acc)
-            acc = R.mul(acc, u)
-        pre_len = seen[acc]
-        cyc_len = len(residues) - pre_len
+        pre_len, _, residues = t_power_cycle(R, u)
         e2 = inv.frob
         tables = []
         for code in residues:
@@ -427,15 +409,12 @@ def apply_auto(auto, handle, config=DEFAULT_CONFIG):
 
 
 def _lift_rows(ql):
-    """Basis of the quasi-level modulo its conductor, as polynomials."""
+    """Basis of the quasi-level modulo its conductor, as polynomials: each
+    row's base-p digits are read as a residue code, whose base-q digits are
+    the coefficients."""
     F = ql.F
-    out = []
-    for row in ql.W.basis:
-        coeffs = []
-        for i in range(ql.conductor.gen.degree):
-            coeffs.append(F.from_digits(row[i * F.n : (i + 1) * F.n]))
-        out.append(Poly(F, coeffs))
-    return out
+    d = ql.conductor.gen.degree
+    return [Poly(F, code_to_digits(digits_to_code(r, F.p), F.q, d)) for r in ql.W.basis]
 
 
 def _ql_from_poly_span(F, conductor, polys):

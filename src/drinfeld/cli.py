@@ -30,12 +30,12 @@ from .config import (
     RunConfig,
 )
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, field, field_from_label
+from .fields import field, field_from_label
 from .fingroup import closure, derived_subgroup, first_outside
 from .genuine import facts_lookup, low_index_scan, verdict, verdict_to_json
 from .mat2 import mat_over_polys, reduce_mat
 from .matgroups import ResidueMatrixGroup, mat_code
-from .poly import MonicIdeal, poly_from_text, residue_ring
+from .poly import DIGIT_CHARS, MonicIdeal, poly_from_text, residue_ring
 from .subgroups import (
     from_quasilevel_abelian,
     handle_from_codes,

@@ -1,10 +1,11 @@
 """Arithmetic for the small finite fields F_q with q = p^n.
 
-Elements are the integers 0..q-1.  The base-p digits of an element are its
-coordinates in the polynomial basis 1, x, ..., x^(n-1) of F_q over F_p, so
-addition is digitwise mod p and multiplication is polynomial multiplication
-modulo a fixed irreducible.  Full multiplication tables are precomputed (q
-is at most 16), which keeps every operation a table lookup.
+Elements are the integers 0..q-1.  F_p is arithmetic mod p.  For n > 1,
+F_q is the residue ring F_p[x]/(m) for the first monic irreducible m of
+degree n in coefficient order, so an element's code is its residue code:
+its base-p digits are its coordinates in the basis 1, x, ..., x^(n-1).
+The tables come from ``poly.ResidueRing.tables`` (q is at most 16), which
+keeps every operation a table lookup.
 """
 
 from functools import lru_cache
@@ -13,8 +14,9 @@ import numpy as np
 
 from .config import MAX_FIELD_ORDER
 from .errors import DomainError
+from .poly import DIGIT_CHARS, ResidueRing, code_to_digits, digits_to_code, irreducibles
 
-DIGIT_CHARS = "0123456789abcdef"
+__all__ = ["DIGIT_CHARS", "FieldSpec", "field", "field_from_label", "prime_factors"]
 
 
 def prime_factors(n):
@@ -32,72 +34,6 @@ def prime_factors(n):
     return out
 
 
-def _poly_mod_mul(a, b, modulus, p):
-    """Multiply digit tuples a, b over F_p modulo the monic digit tuple modulus."""
-    n = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^n = -(modulus without leading term)
-    for i in range(len(prod) - 1, n - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(n):
-                prod[i - n + j] = (prod[i - n + j] - c * modulus[j]) % p
-    return tuple(prod[:n]) + (0,) * (n - len(prod))
-
-
-def _find_irreducible(p, n):
-    """First monic irreducible of degree n over F_p, digits low to high."""
-    if n == 1:
-        return (0, 1)
-    # candidates: constant term nonzero, scanned in lexicographic digit order
-    for code in range(p**n):
-        digits = []
-        c = code
-        for _ in range(n):
-            digits.append(c % p)
-            c //= p
-        if digits[0] == 0:
-            continue
-        cand = tuple(digits) + (1,)
-        if _poly_irreducible(cand, p):
-            return cand
-    raise AssertionError("no irreducible found")
-
-
-def _poly_irreducible(f, p):
-    """Trial division of the monic digit tuple f by all lower-degree monics."""
-    n = len(f) - 1
-    for d in range(1, n // 2 + 1):
-        for code in range(p**d):
-            digits = []
-            c = code
-            for _ in range(d):
-                digits.append(c % p)
-                c //= p
-            g = tuple(digits) + (1,)
-            if _poly_divides(g, f, p):
-                return False
-    return True
-
-
-def _poly_divides(g, f, p):
-    """True if monic digit tuple g divides f over F_p."""
-    rem = list(f)
-    dg = len(g) - 1
-    while len(rem) - 1 >= dg:
-        c = rem[-1]
-        if c:
-            for j in range(dg + 1):
-                rem[len(rem) - 1 - dg + j] = (rem[len(rem) - 1 - dg + j] - c * g[j]) % p
-        rem.pop()
-    return all(c == 0 for c in rem)
-
-
 class FieldSpec:
     """The field F_q presented on the integers 0..q-1.
 
@@ -110,50 +46,23 @@ class FieldSpec:
         self.n = n
         self.q = p**n
         self.label = f"{p}^{n}"
-        self.modulus_digits = _find_irreducible(p, n)
-        q = self.q
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            da = self.to_digits(a)
-            for b in range(a, q):
-                c = self.from_digits(_poly_mod_mul(da, self.to_digits(b), self.modulus_digits, p))
-                mul[a, b] = c
-                mul[b, a] = c
-        add = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            da = self.to_digits(a)
-            for b in range(q):
-                db = self.to_digits(b)
-                add[a, b] = self.from_digits(tuple((x + y) % p for x, y in zip(da, db)))
-        self.np_add = add
-        self.np_mul = mul
-        neg = np.zeros(q, dtype=np.int64)
-        for a in range(q):
-            neg[a] = self.from_digits(tuple((-x) % p for x in self.to_digits(a)))
-        self.np_neg = neg
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a, b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                raise AssertionError(f"no inverse for {a}")
-        self.np_inv = inv
+        if n == 1:
+            x = np.arange(p, dtype=np.int64)
+            self.np_add = (x[:, None] + x) % p
+            self.np_mul = (x[:, None] * x) % p
+            self.np_neg = (-x) % p
+        else:
+            R = ResidueRing(irreducibles(field(p), n)[0])
+            self.np_add, self.np_mul, self.np_neg, _, _ = R.tables()
+        # the inverse of a is the b with a*b = 1; row 0 has none and keeps 0
+        self.np_inv = (self.np_mul == 1).argmax(axis=1)
 
     def to_digits(self, a):
         """Base-p digit tuple of a, low to high, length n."""
-        digits = []
-        for _ in range(self.n):
-            digits.append(a % self.p)
-            a //= self.p
-        return tuple(digits)
+        return code_to_digits(a, self.p, self.n)
 
     def from_digits(self, digits):
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + d
-        return a
+        return digits_to_code(digits, self.p)
 
     def check(self, a):
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:

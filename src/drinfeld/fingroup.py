@@ -16,6 +16,7 @@ import numpy as np
 from .config import DEFAULT_GROUP_CAP
 from .errors import CapExceeded, DomainError
 from .fields import prime_factors
+from .poly import digits_to_code, digitwise
 
 # ---------------------------------------------------------------------------
 # base protocol
@@ -91,16 +92,17 @@ def conj_array(G, arr, g):
 
 def _orbit(seeds, images, cap, refusal):
     """Smallest superset of the sorted seeds that contains images(x) for
-    every x in it, grown breadth first; refused once past the cap."""
+    every x in it, grown breadth first; refused once past the cap, seeds
+    included."""
     known = frontier = seeds
     while frontier.size:
+        if known.size > cap:
+            raise CapExceeded(refusal)
         found = np.unique(images(frontier))
         frontier = found[np.isin(found, known, assume_unique=True, invert=True)]
         if frontier.size == 0:
             break
         known = np.union1d(known, frontier)
-        if known.size > cap:
-            raise CapExceeded(refusal)
     return known
 
 
@@ -351,27 +353,10 @@ class AdditiveQuotientGroup(FinGroup):
         self.size = self.q**self.k
 
     def op(self, a, b):
-        F = self.F
-        q = self.q
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        mult = 1
-        for _ in range(self.k):
-            da = (a // mult) % q
-            db = (b // mult) % q
-            out += F.np_add[da, db] * mult
-            mult *= q
-        return out if out.shape else np.int64(out)
+        return digitwise(self.F.np_add, self.q, self.k, a, b)
 
     def inv_arr(self, a):
-        F = self.F
-        q = self.q
-        out = np.zeros(np.shape(a), dtype=np.int64)
-        mult = 1
-        for _ in range(self.k):
-            da = (a // mult) % q
-            out += F.np_neg[da] * mult
-            mult *= q
-        return out if out.shape else np.int64(out)
+        return digitwise(self.F.np_neg, self.q, self.k, a)
 
     def identity_code(self):
         return 0
@@ -385,10 +370,7 @@ class AdditiveQuotientGroup(FinGroup):
         return (codes >= 0) & (codes < self.size)
 
     def coords_to_code(self, coords):
-        code = 0
-        for c in reversed(coords):
-            code = code * self.q + c
-        return code
+        return digits_to_code(coords, self.q)
 
     def vector_to_code(self, vec):
         """Quotient image of an ambient coordinate vector."""
@@ -406,10 +388,7 @@ class SymmetricGroup(FinGroup):
         self._els = None
 
     def perm_to_code(self, perm):
-        code = 0
-        for x in reversed(perm):
-            code = code * self.n + x
-        return code
+        return digits_to_code(perm, self.n)
 
     def op(self, a, b):
         """Compose: the result sends i to a(b(i))."""

@@ -29,7 +29,7 @@ from math import gcd
 from .autos import corner_map_search, refutation_to_json
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, field, field_from_label, prime_factors
+from .fields import field, field_from_label, prime_factors
 from .fingroup import (
     QuotientGroup,
     composition_factors,
@@ -38,7 +38,7 @@ from .fingroup import (
 )
 from .amalgam import ReductionHom
 from .mat2 import diag_mat, poly_ring
-from .poly import MonicIdeal, Poly, residue_ring
+from .poly import DIGIT_CHARS, MonicIdeal, Poly, residue_ring
 from .subgroups import (
     SubgroupHandle,
     congruence_at,

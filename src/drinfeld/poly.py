@@ -4,6 +4,12 @@ A polynomial is stored as a tuple of field elements, lowest degree first,
 with no trailing zeros.  The serialized text form is the digit string in the
 same order, so "1101" over F_2 is 1 + t + t^3 and "0" is the zero
 polynomial.  The degree of the zero polynomial is reported as -1.
+
+Field elements, residues, additive quotient classes and quasi-level members
+are all integer codes whose digits, lowest first, are coordinates: base p
+for field elements and quasi-level members, base q for residues and
+quotient classes.  ``digits_to_code``, ``code_to_digits`` and ``digitwise``
+are the one codec for that format.
 """
 
 from functools import lru_cache
@@ -11,9 +17,41 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS
 
+DIGIT_CHARS = "0123456789abcdef"
 RING_TABLE_CAP = 512
+
+
+def digits_to_code(digits, base):
+    """The integer whose base digits, lowest first, are the given ones."""
+    code = 0
+    for d in reversed(digits):
+        code = code * base + d
+    return code
+
+
+def code_to_digits(code, base, n):
+    """The n lowest base digits of the code, lowest first."""
+    out = []
+    for _ in range(n):
+        code, d = divmod(code, base)
+        out.append(d)
+    return tuple(out)
+
+
+def digitwise(table, base, n, *codes):
+    """Apply a per-digit table to code arrays, one numpy pass per digit.
+
+    Digit i of the result is table[digit i of each code]: a 2-d table such
+    as a field's addition table combines two codes, a 1-d one maps one.
+    Scalar codes give a numpy scalar, which keeps the sum out of 0-d arrays.
+    """
+    out = np.zeros(np.broadcast(*codes).shape, dtype=np.int64)[()]
+    mult = 1
+    for _ in range(n):
+        out += table[tuple((c // mult) % base for c in codes)] * mult
+        mult *= base
+    return out
 
 
 class Poly:
@@ -311,14 +349,8 @@ def monic_polys(F, deg):
     """All monic polynomials of exactly this degree."""
     if deg < 0:
         raise DomainError("degree must be nonnegative")
-    q = F.q
-    for code in range(q**deg):
-        coeffs = []
-        c = code
-        for _ in range(deg):
-            coeffs.append(c % q)
-            c //= q
-        yield Poly(F, tuple(coeffs) + (1,))
+    for code in range(F.q**deg):
+        yield Poly(F, code_to_digits(code, F.q, deg) + (1,))
 
 
 @lru_cache(maxsize=None)
@@ -457,19 +489,10 @@ class ResidueRing:
         self._tables = None
 
     def lift(self, code):
-        q = self.q
-        coeffs = []
-        for _ in range(self.d):
-            coeffs.append(code % q)
-            code //= q
-        return Poly(self.F, coeffs)
+        return Poly(self.F, code_to_digits(code, self.q, self.d))
 
     def reduce_poly(self, p):
-        r = p % self.modulus
-        code = 0
-        for c in reversed(r.coeffs + (0,) * (self.d - len(r.coeffs))):
-            code = code * self.q + c
-        return code
+        return digits_to_code((p % self.modulus).coeff_vector(self.d), self.q)
 
     def zero(self):
         return 0
@@ -481,27 +504,10 @@ class ResidueRing:
         return self.F.check(c)
 
     def add(self, a, b):
-        F = self.F
-        q = self.q
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += F.add(a % q, b % q) * mult
-            a //= q
-            b //= q
-            mult *= q
-        return out
+        return int(digitwise(self.F.np_add, self.q, self.d, a, b))
 
     def neg(self, a):
-        F = self.F
-        q = self.q
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += F.neg(a % q) * mult
-            a //= q
-            mult *= q
-        return out
+        return int(digitwise(self.F.np_neg, self.q, self.d, a))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -511,15 +517,7 @@ class ResidueRing:
 
     def scale(self, c, a):
         """Multiply the code a by the field element c."""
-        F = self.F
-        q = self.q
-        out = 0
-        mult = 1
-        for _ in range(self.d):
-            out += F.mul(c, a % q) * mult
-            a //= q
-            mult *= q
-        return out
+        return int(digitwise(self.F.np_mul[c], self.q, self.d, a))
 
     def pow_(self, a, e):
         if e < 0:
@@ -555,21 +553,18 @@ class ResidueRing:
                     f"residue ring of size {self.size} exceeds table cap {RING_TABLE_CAP}"
                 )
             n = self.size
-            add = np.zeros((n, n), dtype=np.int64)
+            codes = np.arange(n, dtype=np.int64)
+            add = digitwise(self.F.np_add, self.q, self.d, codes[:, None], codes)
+            neg = digitwise(self.F.np_neg, self.q, self.d, codes)
             mul = np.zeros((n, n), dtype=np.int64)
-            neg = np.zeros(n, dtype=np.int64)
             unit = np.zeros(n, dtype=bool)
             inv = np.zeros(n, dtype=np.int64)
             for a in range(n):
-                neg[a] = self.neg(a)
                 if self.is_unit(a):
                     unit[a] = True
                     inv[a] = self.inv(a)
                 for b in range(a, n):
-                    s = self.add(a, b)
-                    m = self.mul(a, b)
-                    add[a, b] = add[b, a] = s
-                    mul[a, b] = mul[b, a] = m
+                    mul[a, b] = mul[b, a] = self.mul(a, b)
             self._tables = (add, mul, neg, unit, inv)
         return self._tables
 

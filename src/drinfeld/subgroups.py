@@ -24,7 +24,7 @@ from .amalgam import (
 )
 from .config import DEFAULT_CONFIG, DEFAULT_GROUP_CAP
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, field
+from .fields import field
 from .fingroup import (
     AdditiveQuotientGroup,
     ProductGroup,
@@ -38,7 +38,16 @@ from .fingroup import (
 )
 from .matgroups import ResidueMatrixGroup, mat_code
 from .mat2 import Mat2, domain_generator_matrices, translation
-from .poly import MonicIdeal, Poly, poly_gcd, residue_ring, t_power
+from .poly import (
+    DIGIT_CHARS,
+    MonicIdeal,
+    Poly,
+    code_to_digits,
+    digits_to_code,
+    poly_gcd,
+    residue_ring,
+    t_power,
+)
 from .subspace import SubspaceDesc, subspace
 
 
@@ -46,14 +55,11 @@ def prime_coordinates(F, a, modulus):
     """Coordinates of a mod modulus over the prime field.
 
     The residue ring modulo a degree-d modulus is a vector space of
-    dimension n*d over F_p; coefficient i contributes digits at positions
-    i*n .. i*n + n - 1.
+    dimension n*d over F_p; these are the base-p digits of the residue
+    code, so coefficient i contributes digits i*n .. i*n + n - 1.
     """
-    r = a % modulus
-    out = []
-    for c in r.coeff_vector(modulus.degree):
-        out.extend(F.to_digits(c))
-    return tuple(out)
+    code = digits_to_code((a % modulus).coeff_vector(modulus.degree), F.q)
+    return code_to_digits(code, F.p, F.n * modulus.degree)
 
 
 def prime_basis_polys(F, modulus):
@@ -74,19 +80,11 @@ def largest_ideal_inside(F, conductor, W):
     closed under ideal sums, hence their gcd generates the largest one.
     """
     f = conductor.gen
+    basis = prime_basis_polys(F, f)
     winners = []
     for ideal in conductor.divisors():
         g = ideal.gen
-        ok = True
-        for i in range(f.degree):
-            for k in range(F.n):
-                a = g * Poly(F, [0] * i + [F.p**k])
-                if not W.contains(prime_coordinates(F, a, f)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(W.contains(prime_coordinates(F, g * b, f)) for b in basis):
             winners.append(g)
     if not winners:
         raise DomainError("no divisor of the conductor passed; conductor inconsistent")
@@ -260,9 +258,7 @@ def quasi_level(handle, config=DEFAULT_CONFIG):
             pw = G.mul(pw, img)
         arr = np.concatenate(parts)
     idx = np.nonzero(np.isin(arr, core))[0]
-    powers = F.p ** np.arange(nd, dtype=np.int64)
-    digits = (idx[:, None] // powers) % F.p if nd else np.zeros((idx.size, 0), dtype=np.int64)
-    W = subspace(field(F.p), nd, [tuple(int(x) for x in row) for row in digits])
+    W = subspace(field(F.p), nd, [code_to_digits(int(i), F.p, nd) for i in idx])
     if F.p**W.dim != idx.size:
         raise DomainError("membership set is not additively closed")
     level = largest_ideal_inside(F, hom.conductor, W)

@@ -29,7 +29,7 @@ from .autos import (
 )
 from .config import DEFAULT_CONFIG, HARD_GROUP_CAP
 from .errors import CapExceeded, DomainError
-from .fields import DIGIT_CHARS, field, field_from_label
+from .fields import field, field_from_label
 from .fingroup import (
     ProductGroup,
     QuotientGroup,
@@ -50,7 +50,7 @@ from .genuine import (
 )
 from .mat2 import poly_ring, translation, weyl
 from .matgroups import ResidueMatrixGroup
-from .poly import MonicIdeal, Poly, poly_from_string, residue_ring, t_power
+from .poly import DIGIT_CHARS, MonicIdeal, Poly, poly_from_string, residue_ring, t_power
 from .subgroups import (
     from_quasilevel_abelian,
     is_congruence,

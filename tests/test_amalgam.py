@@ -33,7 +33,7 @@ from drinfeld.mat2 import (
     weyl,
 )
 from drinfeld.matgroups import ResidueMatrixGroup, code_mat, mat_code
-from drinfeld.poly import Poly, poly_from_string, residue_ring, t_power
+from drinfeld.poly import Poly, poly_from_string, residue_ring
 from drinfeld.subgroups import from_quasilevel_abelian
 from drinfeld.subspace import subspace
 

@@ -62,6 +62,19 @@ def test_f4_structure():
         assert F.neg(a) == a
 
 
+@pytest.mark.parametrize(
+    "p,n,low",
+    [(2, 2, (1, 1)), (2, 3, (1, 1, 0)), (3, 2, (1, 0)), (2, 4, (1, 1, 0, 0))],
+)
+def test_extension_field_modulus(p, n, low):
+    """F_4, F_8, F_9 and F_16 reduce by 1+x+x^2, 1+x+x^3, 1+x^2 and
+    1+x+x^4: x times x^(n-1), codes p and p^(n-1), is minus the low part
+    of the modulus.  Spec files store codes in these fields, so the moduli
+    are part of the file format."""
+    F = field(p, n)
+    assert F.to_digits(F.mul(p, p ** (n - 1))) == tuple((-c) % p for c in low)
+
+
 def test_f9_unit_group_cyclic_order_8():
     F = field(3, 2)
     orders = sorted(brute_order(F, a) for a in F.units())

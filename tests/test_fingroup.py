@@ -114,6 +114,9 @@ def test_closure_matches_brute_force(gens, n):
 def test_closure_cap():
     with pytest.raises(CapExceeded):
         closure(S4, s4_gens(), cap=10)
+    # seeds already above the cap are refused even though they are closed
+    with pytest.raises(CapExceeded):
+        closure(S4, S4.elements(), cap=10)
     assert closure(S4, s4_gens(), cap=24).size == 24
 
 

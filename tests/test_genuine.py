@@ -17,7 +17,7 @@ from helpers import schreier_congruence_image
 
 from drinfeld.amalgam import ReductionHom
 from drinfeld.autos import InnerAuto, RingAuto, apply_auto, auto_from_json
-from drinfeld.config import DEFAULT_CONFIG, RunConfig
+from drinfeld.config import RunConfig
 from drinfeld.errors import DomainError
 from drinfeld.fields import field
 from drinfeld.fingroup import SymmetricGroup, all_subgroups, is_normal
@@ -38,7 +38,7 @@ from drinfeld.genuine import (
 )
 from drinfeld.mat2 import mat_over_polys, poly_ring, translation
 from drinfeld.matgroups import ResidueMatrixGroup
-from drinfeld.poly import MonicIdeal, Poly, poly_from_string, residue_ring, t_power
+from drinfeld.poly import MonicIdeal, poly_from_string, residue_ring, t_power
 from drinfeld.subgroups import (
     SubgroupHandle,
     congruence_image,
@@ -48,7 +48,7 @@ from drinfeld.subgroups import (
     quasi_level,
     scalar_congruence_handle,
 )
-from drinfeld.subspace import subspace, zero_space
+from drinfeld.subspace import subspace
 
 F2 = field(2)
 F3 = field(3)

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from drinfeld.errors import DomainError
 from drinfeld.fields import field
 from drinfeld.mat2 import (
-    Mat2,
     borel_mat,
     diag_mat,
     identity,

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from drinfeld.errors import DomainError
 from drinfeld.fields import field
 from drinfeld.subspace import (
-    SubspaceDesc,
     apply_matrix,
     count_subspaces,
     iter_subspaces,
