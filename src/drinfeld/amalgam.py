@@ -31,7 +31,6 @@ from .mat2 import (
     borel_mat,
     domain_generator_matrices,
     mat_over_polys,
-    poly_ring,
     reduce_mat,
     translation,
     weyl,
@@ -41,11 +40,13 @@ from .poly import (
     DIGIT_CHARS,
     MonicIdeal,
     Poly,
+    digits_text,
     one as poly_one,
     poly_from_string,
     residue_ring,
     t_power,
     t_var,
+    text_digits,
 )
 from .subspace import SubspaceDesc
 
@@ -73,12 +74,11 @@ class BorelLetter:
     corner: Poly
 
     def matrix(self):
-        R = poly_ring(self.corner.F)
-        return borel_mat(R, self.alpha, self.beta, self.corner)
+        return borel_mat(self.corner.F, self.alpha, self.beta, self.corner)
 
 
 def _const_from_mat(m):
-    F = m.ring.F
+    F = m.F
     es = []
     for e in m.entries():
         if e.degree > 0:
@@ -176,12 +176,11 @@ def matrix_to_word(m):
     top-left entry below the lower-left.  The lower-left degree drops at
     least every second step, so the loop ends with a triangular matrix.
     """
-    F = m.ring.F
+    F = m.F
     det = m.det()
     if det.degree != 0:
         raise DomainError("matrix determinant is not a unit")
-    R = poly_ring(F)
-    w = weyl(R)
+    w = weyl(F)
     w_inv_letter = ConstLetter(F, (0, 1, F.neg(1), 0))
     letters = []
     work = m
@@ -192,7 +191,7 @@ def matrix_to_word(m):
         else:
             quot, _ = divmod(work.a, work.c)
             letters.append(BorelLetter(1, 1, quot))
-            work = translation(R, -quot) * work
+            work = translation(F, -quot) * work
     if work.b.degree < 1:
         letters.append(
             ConstLetter(
@@ -220,7 +219,7 @@ def matrix_to_word(m):
 def _check_domain(kind, m):
     det = m.det()
     if kind == "SL":
-        if det != poly_one(m.ring.F):
+        if det != poly_one(m.F):
             raise DomainError("matrix is outside the determinant-one group")
     else:
         if det.degree != 0:
@@ -240,7 +239,7 @@ class ReductionHom:
         self.conductor = MonicIdeal(R.modulus)
 
     def translation_image(self, a):
-        return int(mat_code(translation(self.ring, self.ring.reduce_poly(a))))
+        return int(self.target.encode(1, self.ring.reduce_poly(a), 0, 1))
 
     def translation_period(self):
         """Pre-period and cycle of i -> image of T(t^i)."""
@@ -489,7 +488,7 @@ def t_power_cycle(R, u=None):
         u = R.reduce_poly(t_var(R.F))
     seen = {}
     codes = []
-    code = R.one()
+    code = 1
     while code not in seen:
         seen[code] = len(codes)
         codes.append(code)
@@ -510,10 +509,7 @@ def reduction_as_table_hom(R, kind="SL"):
     target = ResidueMatrixGroup(R, kind)
 
     def table_for(code):
-        out = []
-        for c in range(F.q):
-            out.append(int(mat_code(translation(R, R.scale(c, code)))))
-        return tuple(out)
+        return tuple(int(target.encode(1, R.scale(c, code), 0, 1)) for c in range(F.q))
 
     pre_tables = [table_for(c) for c in reductions[:pre_len]]
     cyc_tables = [table_for(c) for c in reductions[pre_len:]]
@@ -522,8 +518,7 @@ def reduction_as_table_hom(R, kind="SL"):
     for code in Gc.elements():
         a, b, c, d = Gc.decode(int(code))
         key = (int(a), int(b), int(c), int(d))
-        m = mat_over_polys(F, key)
-        const_table[key] = int(mat_code(reduce_mat(m, R)))
+        const_table[key] = int(target.encode(*key))
     return TableHom(F, kind, target, const_table, pre_tables, cyc_tables)
 
 
@@ -544,7 +539,7 @@ def target_to_json(target):
             "type": "additive_quotient",
             "field": target.F.label,
             "ambient_dim": target.W.ambient_dim,
-            "basis": ["".join(DIGIT_CHARS[x] for x in row) for row in target.W.basis],
+            "basis": [digits_text(row) for row in target.W.basis],
         }
     if isinstance(target, SymmetricGroup):
         return {"type": "symmetric", "degree": target.n}
@@ -562,11 +557,7 @@ def target_from_json(data):
     if kind == "additive_quotient":
         F = field_from_label(data["field"])
         n = int(data["ambient_dim"])
-        rows = []
-        for row in data["basis"]:
-            if len(row) != n:
-                raise DomainError("basis row length does not match the dimension")
-            rows.append(tuple(DIGIT_CHARS.index(ch) for ch in row))
+        rows = [text_digits(row, F.q, n) for row in data["basis"]]
         return AdditiveQuotientGroup(SubspaceDesc(F, n, rows))
     if kind == "symmetric":
         return SymmetricGroup(int(data["degree"]))

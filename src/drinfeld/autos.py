@@ -26,7 +26,7 @@ from .amalgam import (
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
 from .fields import field_from_label
-from .mat2 import Mat2, mat_over_polys
+from .mat2 import Mat2, mat_over_polys, weyl
 from .poly import (
     MonicIdeal,
     Poly,
@@ -57,7 +57,7 @@ class InnerAuto:
     g: Mat2
 
     def validate(self, F, kind):
-        if self.g.ring.F is not F:
+        if self.g.F is not F:
             raise DomainError("conjugating matrix is over the wrong field")
         det = self.g.det()
         if det.is_zero() or det.degree != 0:
@@ -112,12 +112,11 @@ class DetTwistAuto:
         raise DomainError("determinant twist inverse depends on the field; use inverse_exponent")
 
     def apply_matrix(self, m):
-        F = m.ring.F
         d = m.det()
         if d.degree != 0:
             raise DomainError("determinant twist needs a unit determinant")
-        c = F.pow_(d.coeffs[0], self.exponent)
-        return Mat2(m.ring, *(e.scale(c) for e in m.entries()))
+        c = m.F.pow_(d.coeffs[0], self.exponent)
+        return Mat2(m.F, *(e.scale(c) for e in m.entries()))
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ class RingAuto:
         return inv
 
     def apply_matrix(self, m):
-        return Mat2(m.ring, *(self.apply_poly(e) for e in m.entries()))
+        return Mat2(m.F, *(self.apply_poly(e) for e in m.entries()))
 
 
 @dataclass(frozen=True)
@@ -237,7 +236,6 @@ class NonStandardAuto:
         return inv
 
     def apply_matrix(self, m):
-        F = m.ring.F
         word = matrix_to_word(m)
         out = []
         for letter in word:
@@ -247,7 +245,7 @@ class NonStandardAuto:
                 )
             else:
                 out.append(letter)
-        return word_matrix(F, out)
+        return word_matrix(m.F, out)
 
 
 def auto_to_json(auto):
@@ -256,7 +254,7 @@ def auto_to_json(auto):
     if isinstance(auto, InnerAuto):
         return {
             "type": "inner",
-            "field": auto.g.ring.F.label,
+            "field": auto.g.F.label,
             "matrix": [e.digits_str() for e in auto.g.entries()],
         }
     if isinstance(auto, ContragredientAuto):
@@ -331,8 +329,7 @@ def compose_with_inverse(hom, auto):
         const, pre, cyc = _conjugated_tables(table, c)
         return TableHom(F, table.kind, table.target, const, pre, cyc)
     if isinstance(auto, ContragredientAuto):
-        w = mat_over_polys(F, (0, F.neg(1), 1, 0))
-        c = table.eval_matrix(w)
+        c = table.eval_matrix(weyl(F))
         _, pre, cyc = _conjugated_tables(table, c)
         const = {}
         for key in table.const_table:

@@ -35,7 +35,7 @@ from .fingroup import closure, derived_subgroup, first_outside
 from .genuine import facts_lookup, low_index_scan, verdict, verdict_to_json
 from .mat2 import mat_over_polys, reduce_mat
 from .matgroups import ResidueMatrixGroup, mat_code
-from .poly import DIGIT_CHARS, MonicIdeal, poly_from_text, residue_ring
+from .poly import MonicIdeal, poly_from_text, residue_ring, text_digits
 from .subgroups import (
     from_quasilevel_abelian,
     handle_from_codes,
@@ -175,14 +175,7 @@ def _cmd_subgroup_new(args):
         if not args.basis:
             raise DomainError("subgroup new: the abelian family needs --basis")
         dim = F.n * m.degree
-        rows = []
-        for row in args.basis.split(","):
-            row = row.strip()
-            if len(row) != dim or any(ch not in DIGIT_CHARS[: F.p] for ch in row):
-                raise DomainError(
-                    f"subgroup new: basis row {row!r} must be {dim} digits below {F.p}"
-                )
-            rows.append(tuple(DIGIT_CHARS.index(ch) for ch in row))
+        rows = [text_digits(row.strip(), F.p, dim) for row in args.basis.split(",")]
         W = subspace(field(F.p), dim, rows)
         handle = from_quasilevel_abelian(W, m, kind)
         if name:
@@ -423,8 +416,7 @@ def _cmd_oracle_closure(args):
         entries = [poly_from_text(F, s) for s in quad.split(",")]
         if len(entries) != 4:
             raise DomainError(f"closure: --matrix needs 4 entries, got {quad!r}")
-        m = reduce_mat(mat_over_polys(F, entries), R)
-        gens.append(int(mat_code(m)))
+        gens.append(int(mat_code(reduce_mat(mat_over_polys(F, entries), R))))
     if not gens:
         raise DomainError("closure: give generators via --codes and/or --matrix")
     bad = first_outside(G, gens)
@@ -523,8 +515,7 @@ def build_parser():
         choices=["principal", "scalar", "abelian", "generators"],
         help="construction recipe",
     )
-    p.add_argument("--group", choices=sorted(GROUP_KINDS), default="sl2")
-    p.add_argument("--q", type=int, required=True, help="field order")
+    _add_group_flags(p, need_modulus=False)
     p.add_argument("--modulus", help="monic modulus polynomial")
     p.add_argument("--ideal", help="principal family: ideal generator (defaults to the modulus)")
     p.add_argument("--basis", help="abelian family: comma-separated digit rows over the prime field")
@@ -568,8 +559,7 @@ def build_parser():
     p = leaf(sub_gen, "verdict", _cmd_genuine_verdict, "judge one handle")
     p.add_argument("--spec", required=True, help="subgroup spec JSON file")
     p = leaf(sub_gen, "scan", _cmd_genuine_scan, "judge every representable handle in range")
-    p.add_argument("--group", choices=sorted(GROUP_KINDS), default="sl2")
-    p.add_argument("--q", type=int, required=True, help="field order")
+    _add_group_flags(p, need_modulus=False)
     p.add_argument("--max-index", type=int, default=4, help="largest index kept")
     p.add_argument("--bound", required=True, help="modulus bound polynomial")
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import MAX_FIELD_ORDER
 from .errors import DomainError
-from .poly import DIGIT_CHARS, ResidueRing, code_to_digits, digits_to_code, irreducibles
+from .poly import DIGIT_CHARS, ResidueRing, irreducibles
 
 __all__ = ["DIGIT_CHARS", "FieldSpec", "field", "field_from_label", "prime_factors"]
 
@@ -56,13 +56,6 @@ class FieldSpec:
             self.np_add, self.np_mul, self.np_neg, _, _ = R.tables()
         # the inverse of a is the b with a*b = 1; row 0 has none and keeps 0
         self.np_inv = (self.np_mul == 1).argmax(axis=1)
-
-    def to_digits(self, a):
-        """Base-p digit tuple of a, low to high, length n."""
-        return code_to_digits(a, self.p, self.n)
-
-    def from_digits(self, digits):
-        return digits_to_code(digits, self.p)
 
     def check(self, a):
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:

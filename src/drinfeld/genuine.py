@@ -37,8 +37,8 @@ from .fingroup import (
     is_psl2_order_over,
 )
 from .amalgam import ReductionHom
-from .mat2 import diag_mat, poly_ring
-from .poly import DIGIT_CHARS, MonicIdeal, Poly, residue_ring
+from .mat2 import diag_mat
+from .poly import MonicIdeal, Poly, digits_text, residue_ring
 from .subgroups import (
     SubgroupHandle,
     congruence_at,
@@ -244,9 +244,8 @@ def handle_is_normal(handle, config=DEFAULT_CONFIG):
 def diagonal_torus_inside(handle):
     """Does the subgroup contain every invertible constant diagonal matrix?"""
     F = handle.F
-    R = poly_ring(F)
     return all(
-        handle.contains_matrix(diag_mat(R, a, b))
+        handle.contains_matrix(diag_mat(F, a, b))
         for a in F.units()
         for b in F.units()
     )
@@ -503,7 +502,7 @@ def low_index_scan(q, kind="SL", max_index=4, bound=None, config=DEFAULT_CONFIG)
                     if key in seen_spans:
                         continue
                     seen_spans.add(key)
-                    basis = ["".join(DIGIT_CHARS[x] for x in row) for row in W.basis]
+                    basis = [digits_text(row) for row in W.basis]
                     judge(handle, "abelian-quotient", m, {"basis": basis})
 
     for m in moduli:

@@ -1,9 +1,10 @@
 """Finite matrix groups: SL2 and GL2 over residue rings of F_q[t].
 
-A matrix is packed into a single int64 code as ((a*S + b)*S + c)*S + d with
-S the ring size, and the group operation works on whole code arrays through
-the ring's dense tables.  Enumeration is by generator closure, checked
-against the exact order formula computed from the modulus factorization.
+A matrix over a residue ring of size S is only its int64 code
+((a*S + b)*S + c)*S + d, and the group operation works on whole code
+arrays through the ring's dense tables.  Enumeration is by generator
+closure, checked against the exact order formula computed from the
+modulus factorization.
 """
 
 import numpy as np
@@ -11,29 +12,22 @@ import numpy as np
 from .config import DEFAULT_GROUP_CAP
 from .errors import DomainError
 from .fingroup import FinGroup, closure, refuse_above, small_generating_set
-from .mat2 import Mat2, domain_generator_matrices, reduce_mat
+from .mat2 import domain_generator_matrices, reduce_mat
 from .poly import factorize
 
 _ENUM_CACHE = {}
 
 
-def mat_code(m):
-    """Pack a residue-ring matrix into its integer code."""
-    S = m.ring.size
-    return ((m.a * S + m.b) * S + m.c) * S + m.d
+def pack(S, a, b, c, d):
+    """The code of the matrix with entries a, b, c, d in a ring of size S;
+    entries may be numpy arrays.  ResidueMatrixGroup.decode inverts it."""
+    return ((a * S + b) * S + c) * S + d
 
 
-def code_mat(R, code):
-    """Unpack an integer code into a residue-ring matrix."""
-    S = R.size
-    code = int(code)
-    d = code % S
-    code //= S
-    c = code % S
-    code //= S
-    b = code % S
-    a = code // S
-    return Mat2(R, a, b, c, d)
+def mat_code(reduced):
+    """Pack a reduced matrix, as mat2.reduce_mat returns it, into its code."""
+    R, a, b, c, d = reduced
+    return pack(R.size, a, b, c, d)
 
 
 class ResidueMatrixGroup(FinGroup):
@@ -53,18 +47,13 @@ class ResidueMatrixGroup(FinGroup):
         self._inv = inv
 
     def decode(self, codes):
-        S = self.S
-        d = codes % S
-        r = codes // S
-        c = r % S
-        r = r // S
-        b = r % S
-        a = r // S
+        r, d = divmod(codes, self.S)
+        r, c = divmod(r, self.S)
+        a, b = divmod(r, self.S)
         return a, b, c, d
 
     def encode(self, a, b, c, d):
-        S = self.S
-        return ((a * S + b) * S + c) * S + d
+        return pack(self.S, a, b, c, d)
 
     def op(self, x, y):
         add, mul = self._add, self._mul
@@ -108,7 +97,7 @@ class ResidueMatrixGroup(FinGroup):
         R = self.R
         gens = {mat_code(reduce_mat(m, R)) for m in domain_generator_matrices(R.F, "SL", R.d)}
         if self.kind == "GL":
-            diagonals = self.encode(np.asarray(R.units(), dtype=np.int64), 0, 0, 1)
+            diagonals = self.encode(R.units(), 0, 0, 1)
             gens.update(small_generating_set(self, diagonals))
         return sorted(gens)
 

@@ -9,7 +9,13 @@ Field elements, residues, additive quotient classes and quasi-level members
 are all integer codes whose digits, lowest first, are coordinates: base p
 for field elements and quasi-level members, base q for residues and
 quotient classes.  ``digits_to_code``, ``code_to_digits`` and ``digitwise``
-are the one codec for that format.
+are the one codec for that format, and ``digits_text``/``text_digits`` the
+one text form of a digit row in spec and report files.
+
+A residue ring is its dense tables: the product table is built by numpy
+passes from multiplication by t, and units and inverses are read off it.
+The scalar ``mul``, ``scale``, ``lift`` and ``reduce_poly`` serve rings too
+large for tables.
 """
 
 from functools import lru_cache
@@ -20,6 +26,19 @@ from .errors import CapExceeded, DomainError
 
 DIGIT_CHARS = "0123456789abcdef"
 RING_TABLE_CAP = 512
+
+
+def digits_text(row):
+    """A row of digits, lowest first, as its text: one character per digit."""
+    return "".join(DIGIT_CHARS[x] for x in row)
+
+
+def text_digits(text, base, n):
+    """The row of n digits below the base that the text spells out."""
+    row = tuple(DIGIT_CHARS.find(ch) for ch in text)
+    if len(row) != n or not all(0 <= x < base for x in row):
+        raise DomainError(f"digit row {text!r} must be {n} digits below {base}")
+    return row
 
 
 def digits_to_code(digits, base):
@@ -145,18 +164,6 @@ class Poly:
                         out[i + j] = F.add(out[i + j], F.mul(a, b))
         return Poly(F, out)
 
-    def __pow__(self, e):
-        if e < 0:
-            raise DomainError("negative polynomial powers are not defined")
-        r = Poly(self.F, (1,))
-        b = self
-        while e:
-            if e & 1:
-                r = r * b
-            b = b * b
-            e >>= 1
-        return r
-
     def __divmod__(self, other):
         F = self.F
         if other.is_zero():
@@ -201,9 +208,7 @@ class Poly:
         return Poly(F, tuple(F.frob_iter(c, e) for c in self.coeffs))
 
     def digits_str(self):
-        if not self.coeffs:
-            return "0"
-        return "".join(DIGIT_CHARS[c] for c in self.coeffs)
+        return digits_text(self.coeffs) if self.coeffs else "0"
 
     def pretty(self):
         if not self.coeffs:
@@ -320,23 +325,6 @@ def poly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a if a.is_zero() else a.monic()
-
-
-def poly_extgcd(a, b):
-    """Return (g, u, v) with u*a + v*b = g and g the monic gcd."""
-    F = a.F
-    r0, r1 = a, b
-    s0, s1 = one(F), zero(F)
-    t0, t1 = zero(F), one(F)
-    while not r1.is_zero():
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = F.inv(r0.leading())
-    return r0.monic(), s0.scale(c), t0.scale(c)
 
 
 def poly_lcm(a, b):
@@ -494,24 +482,6 @@ class ResidueRing:
     def reduce_poly(self, p):
         return digits_to_code((p % self.modulus).coeff_vector(self.d), self.q)
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_field(self, c):
-        return self.F.check(c)
-
-    def add(self, a, b):
-        return int(digitwise(self.F.np_add, self.q, self.d, a, b))
-
-    def neg(self, a):
-        return int(digitwise(self.F.np_neg, self.q, self.d, a))
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         return self.reduce_poly(self.lift(a) * self.lift(b))
 
@@ -519,53 +489,40 @@ class ResidueRing:
         """Multiply the code a by the field element c."""
         return int(digitwise(self.F.np_mul[c], self.q, self.d, a))
 
-    def pow_(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def is_unit(self, a):
-        return poly_gcd(self.lift(a), self.modulus).degree == 0
-
-    def inv(self, a):
-        g, u, _ = poly_extgcd(self.lift(a), self.modulus)
-        if g.degree != 0:
-            raise DomainError(f"code {a} is not a unit in this residue ring")
-        return self.reduce_poly(u)
-
-    def elements(self):
-        return range(self.size)
-
     def units(self):
-        return [a for a in self.elements() if self.is_unit(a)]
+        """The unit codes, increasing."""
+        return np.flatnonzero(self.tables()[3])
 
     def tables(self):
-        """Dense numpy add/mul/neg/unit tables; refused above the size cap."""
+        """Dense numpy add/mul/neg/unit/inv tables; refused above the size cap.
+
+        The product a*b is the sum of b_k * (a t^k) over the digits b_k of
+        b, so the columns are built a digit at a time: the columns below
+        q^(k+1) are those below q^k plus c * (a t^k) for each c.  A row is
+        a unit when it holds a 1, and the column of that 1 is its inverse.
+        """
         if self._tables is None:
             if self.size > RING_TABLE_CAP:
                 raise CapExceeded(
                     f"residue ring of size {self.size} exceeds table cap {RING_TABLE_CAP}"
                 )
-            n = self.size
-            codes = np.arange(n, dtype=np.int64)
-            add = digitwise(self.F.np_add, self.q, self.d, codes[:, None], codes)
-            neg = digitwise(self.F.np_neg, self.q, self.d, codes)
-            mul = np.zeros((n, n), dtype=np.int64)
-            unit = np.zeros(n, dtype=bool)
-            inv = np.zeros(n, dtype=np.int64)
-            for a in range(n):
-                if self.is_unit(a):
-                    unit[a] = True
-                    inv[a] = self.inv(a)
-                for b in range(a, n):
-                    mul[a, b] = mul[b, a] = self.mul(a, b)
-            self._tables = (add, mul, neg, unit, inv)
+            F, q, d = self.F, self.q, self.d
+            codes = np.arange(self.size, dtype=np.int64)
+            add = digitwise(F.np_add, q, d, codes[:, None], codes)
+            neg = digitwise(F.np_neg, q, d, codes)
+            # smul[c, a] = c * a: every digit of the first code is c
+            every_digit = (q**d - 1) // (q - 1)
+            smul = digitwise(F.np_mul, q, d, codes[:q, None] * every_digit, codes)
+            # t^d is -(f - t^d) modulo f
+            wrap = digits_to_code(tuple(F.neg(c) for c in self.modulus.coeffs[:d]), q)
+            top = q ** (d - 1)
+            mul = np.zeros((self.size, 1), dtype=np.int64)
+            a_tk = codes
+            for _ in range(d):
+                mul = np.concatenate([add[mul, smul[c, a_tk][:, None]] for c in range(q)], axis=1)
+                a_tk = add[a_tk % top * q, smul[a_tk // top, wrap]]
+            is_one = mul == 1
+            self._tables = (add, mul, neg, is_one.any(axis=1), is_one.argmax(axis=1))
         return self._tables
 
     def __eq__(self, other):

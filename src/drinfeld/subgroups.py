@@ -36,13 +36,13 @@ from .fingroup import (
     refuse_above,
     small_generating_set,
 )
-from .matgroups import ResidueMatrixGroup, mat_code
-from .mat2 import Mat2, domain_generator_matrices, translation
+from .matgroups import ResidueMatrixGroup
+from .mat2 import domain_generator_matrices
 from .poly import (
-    DIGIT_CHARS,
     MonicIdeal,
     Poly,
     code_to_digits,
+    digits_text,
     digits_to_code,
     poly_gcd,
     residue_ring,
@@ -129,7 +129,7 @@ def ql_to_json(ql):
         "conductor": ql.conductor.gen.digits_str(),
         "level": ql.level.gen.digits_str(),
         "core_size": ql.core_size,
-        "basis": ["".join(DIGIT_CHARS[x] for x in row) for row in ql.W.basis],
+        "basis": [digits_text(row) for row in ql.W.basis],
     }
 
 
@@ -353,11 +353,9 @@ def scalar_congruence_handle(modulus, kind="SL"):
     """Matrices reducing to a scalar modulo the given monic polynomial."""
     R = residue_ring(modulus)
     hom = ReductionHom(R, kind)
-    codes = []
-    for u in R.units():
-        if kind == "SL" and R.mul(u, u) != R.from_field(1):
-            continue
-        codes.append(int(mat_code(Mat2(R, u, 0, 0, u))))
+    units = R.units()
+    scalars = hom.target.encode(units, 0, 0, units)
+    codes = scalars[hom.target.member_mask(scalars)]
     return SubgroupHandle(hom, codes, name=f"scalar mod {modulus.digits_str()}")
 
 
@@ -372,7 +370,7 @@ def abelianized_constant_class(F):
     G0 = ResidueMatrixGroup(residue_ring(t_power(F, 1)), "SL")
     elems = G0.elements()
     D = derived_subgroup(G0, elems)
-    t1 = int(mat_code(translation(G0.R, G0.R.from_field(1))))
+    t1 = int(G0.encode(1, 1, 0, 1))
     t1_inv = G0.inv(t1)
     classes = {}
     for code in elems:

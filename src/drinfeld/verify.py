@@ -48,9 +48,9 @@ from .genuine import (
     recheck_certificate,
     verdict,
 )
-from .mat2 import poly_ring, translation, weyl
+from .mat2 import translation, weyl
 from .matgroups import ResidueMatrixGroup
-from .poly import DIGIT_CHARS, MonicIdeal, Poly, poly_from_string, residue_ring, t_power
+from .poly import MonicIdeal, Poly, poly_from_string, residue_ring, t_power, text_digits
 from .subgroups import (
     from_quasilevel_abelian,
     is_congruence,
@@ -103,14 +103,13 @@ def translation_kernel_closure(config, cache):
     computed = []
     for q in (2, 3):
         F = field(q)
-        R = poly_ring(F)
         for k in (2, 3):
             G = _residue_group(F, "0" * k + "1")
             pi = ReductionHom(G.R, "SL")
             gens = _thin_generators(F, k)
             gcodes = [pi.eval_matrix(g) for g in gens]
             seeds = [
-                pi.eval_matrix(translation(R, Poly(F, [0] * i + [c])))
+                pi.eval_matrix(translation(F, Poly(F, [0] * i + [c])))
                 for i in range(1, k)
                 for c in range(1, q)
             ]
@@ -247,10 +246,7 @@ def _rebuild_entry_handle(q, entry, config):
     F = field(q)
     modulus = poly_from_string(F, entry["modulus"])
     if entry["family"] == "abelian-quotient":
-        rows = [
-            tuple(DIGIT_CHARS.index(ch) for ch in row)
-            for row in entry["basis"]
-        ]
+        rows = [text_digits(row, F.q, modulus.degree) for row in entry["basis"]]
         W = subspace(F, modulus.degree, rows)
         return from_quasilevel_abelian(W, modulus)
     if entry["family"] == "principal-kernel":
@@ -403,10 +399,9 @@ def minimal_index_table(config, cache):
 def _thin_generators(F, degree_bound):
     """Weyl flip plus t-power translations; enough to generate in the
     principal quotients since constant multiples are powers of these."""
-    R = poly_ring(F)
-    mats = [weyl(R)]
+    mats = [weyl(F)]
     for i in range(degree_bound):
-        mats.append(translation(R, t_power(F, i)))
+        mats.append(translation(F, t_power(F, i)))
     return mats
 
 

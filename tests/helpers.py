@@ -8,7 +8,6 @@ from drinfeld.mat2 import (
     diag_mat,
     domain_generator_matrices,
     mat_over_polys,
-    poly_ring,
     translation,
     weyl,
 )
@@ -58,22 +57,42 @@ def random_poly(F, rng, max_deg=3):
 
 
 def random_sl2(F, rng, steps=6, max_deg=3):
-    R = poly_ring(F)
     m = mat_over_polys(F, (1, 0, 0, 1))
     for _ in range(steps):
         k = int(rng.integers(0, 3))
         if k == 0:
-            m = m * translation(R, random_poly(F, rng, max_deg))
+            m = m * translation(F, random_poly(F, rng, max_deg))
         elif k == 1:
-            m = m * weyl(R)
+            m = m * weyl(F)
         else:
             a = int(rng.integers(1, F.q))
-            m = m * diag_mat(R, a, F.inv(a))
+            m = m * diag_mat(F, a, F.inv(a))
     return m
 
 
 def random_gl2(F, rng, steps=6, max_deg=3):
-    R = poly_ring(F)
     m = random_sl2(F, rng, steps, max_deg)
     u = int(rng.integers(1, F.q))
-    return m * diag_mat(R, u, 1)
+    return m * diag_mat(F, u, 1)
+
+
+# -- residue matrices checked through polynomial arithmetic
+
+
+def code_entries(R, code):
+    """Residue entries a, b, c, d of the matrix code ((a*S + b)*S + c)*S + d,
+    by plain division, S the ring size."""
+    code, d = divmod(int(code), R.size)
+    code, c = divmod(code, R.size)
+    a, b = divmod(code, R.size)
+    return a, b, c, d
+
+
+def lifted(R, code):
+    """The polynomial matrix whose entries lift those of the matrix code."""
+    return mat_over_polys(R.F, [R.lift(e) for e in code_entries(R, code)])
+
+
+def reduced(R, m):
+    """The polynomial matrix of remainders of m's entries mod R's modulus."""
+    return mat_over_polys(R.F, [e % R.modulus for e in m.entries()])

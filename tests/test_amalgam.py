@@ -24,18 +24,13 @@ from drinfeld.amalgam import (
 )
 from drinfeld.errors import DomainError, MalformedWord, ValidationError
 from drinfeld.fields import field
-from drinfeld.mat2 import (
-    diag_mat,
-    mat_over_polys,
-    poly_ring,
-    reduce_mat,
-    translation,
-    weyl,
-)
-from drinfeld.matgroups import ResidueMatrixGroup, code_mat, mat_code
-from drinfeld.poly import Poly, poly_from_string, residue_ring
+from drinfeld.mat2 import diag_mat, mat_over_polys, reduce_mat, weyl
+from drinfeld.matgroups import ResidueMatrixGroup, mat_code
+from drinfeld.poly import poly_from_string, residue_ring
 from drinfeld.subgroups import from_quasilevel_abelian
 from drinfeld.subspace import subspace
+
+from helpers import lifted, random_gl2, random_poly, random_sl2, reduced
 
 F2 = field(2)
 F3 = field(3)
@@ -44,33 +39,6 @@ F4 = field(2, 2)
 
 def P(F, s):
     return poly_from_string(F, s)
-
-
-def random_poly(F, rng, max_deg=3):
-    deg = int(rng.integers(0, max_deg + 1))
-    return Poly(F, [int(rng.integers(0, F.q)) for _ in range(deg + 1)])
-
-
-def random_sl2(F, rng, steps=6, max_deg=3):
-    R = poly_ring(F)
-    m = mat_over_polys(F, (1, 0, 0, 1))
-    for _ in range(steps):
-        k = int(rng.integers(0, 3))
-        if k == 0:
-            m = m * translation(R, random_poly(F, rng, max_deg))
-        elif k == 1:
-            m = m * weyl(R)
-        else:
-            a = int(rng.integers(1, F.q))
-            m = m * diag_mat(R, a, F.inv(a))
-    return m
-
-
-def random_gl2(F, rng, steps=6, max_deg=3):
-    R = poly_ring(F)
-    m = random_sl2(F, rng, steps, max_deg)
-    u = int(rng.integers(1, F.q))
-    return m * diag_mat(R, u, 1)
 
 
 def test_decomposition_worked_example():
@@ -160,7 +128,7 @@ def test_reduction_hom_word_path_matches_direct(q, mods):
             direct = h.eval_matrix(m)
             via_word = h.eval_word(matrix_to_word(m))
             assert direct == via_word
-            assert code_mat(h.ring, direct) == reduce_mat(m, h.ring)
+            assert lifted(h.ring, direct) == reduced(h.ring, m)
 
 
 @pytest.mark.parametrize("q,mods", sorted(MODULI.items()))
@@ -202,7 +170,7 @@ def test_gl_reduction_and_tables():
         assert tab.eval_matrix(m) == red.eval_matrix(m)
     # SL-kind homs refuse determinant-two matrices
     sl = ReductionHom(R, "SL")
-    m = diag_mat(poly_ring(F3), 2, 1)
+    m = diag_mat(F3, 2, 1)
     with pytest.raises(DomainError):
         sl.eval_matrix(m)
 
@@ -322,7 +290,7 @@ def test_validation_translation_commute():
     h = base_hom()
     R = h.target.R
     G = h.target
-    w = mat_code(weyl(R))
+    w = mat_code(reduce_mat(weyl(R.F), R))
     lower = tuple(
         G.conj(v, w) for v in h.pre_tables[1]
     )  # conjugated into lower triangulars

@@ -34,7 +34,7 @@ from drinfeld.autos import (
 from drinfeld.config import DEFAULT_CONFIG
 from drinfeld.errors import DomainError
 from drinfeld.fields import field
-from drinfeld.mat2 import mat_over_polys, poly_ring, translation, weyl
+from drinfeld.mat2 import mat_over_polys, translation, weyl
 from drinfeld.poly import Poly, one, poly_from_string, residue_ring, t_power
 from drinfeld.subgroups import (
     from_quasilevel_abelian,
@@ -56,8 +56,7 @@ def P(F, s):
 
 
 def sample_autos(F):
-    R = poly_ring(F)
-    g = translation(R, P(F, "01")) * weyl(R)
+    g = translation(F, P(F, "01")) * weyl(F)
     out = [
         InnerAuto(g),
         ContragredientAuto(),
@@ -164,7 +163,7 @@ def test_compose_table_hom_nonstandard():
 
 
 def test_standard_autos_preserve_congruence_status():
-    g = translation(poly_ring(F2), P(F2, "01")) * weyl(poly_ring(F2))
+    g = translation(F2, P(F2, "01")) * weyl(F2)
     noncong = from_quasilevel_abelian(
         subspace(F2, 3, [(1, 0, 0), (0, 1, 0)]), P(F2, "0001")
     )
@@ -179,7 +178,7 @@ def test_standard_autos_preserve_congruence_status():
 def test_inner_auto_fixes_kernel_handles():
     # handles standing for kernels are normal, so conjugation fixes them
     handle = from_quasilevel_abelian(subspace(F2, 2, [(0, 1)]), P(F2, "001"))
-    g = translation(poly_ring(F2), P(F2, "011"))
+    g = translation(F2, P(F2, "011"))
     moved = apply_auto(InnerAuto(g), handle)
     ql1, ql2 = quasi_level(handle), quasi_level(moved)
     assert quasi_levels_agree(ql1, ql2)
@@ -230,7 +229,7 @@ def test_no_closed_form_for_conjugation():
     handle = from_quasilevel_abelian(subspace(F2, 2, [(0, 1)]), P(F2, "001"))
     ql = quasi_level(handle)
     with pytest.raises(DomainError):
-        transform_quasi_level(InnerAuto(weyl(poly_ring(F2))), ql)
+        transform_quasi_level(InnerAuto(weyl(F2)), ql)
 
 
 def test_validate_rejections():

@@ -295,6 +295,17 @@ def test_malformed_spec_named_rule(tmp_path, capsys):
     code, _, err = run_cli(capsys, "subgroup", "ql", "--spec", str(bad))
     assert code == 1 and "not valid JSON" in err
 
+    # a quotient basis digit at or above the field order
+    run_cli(
+        capsys,
+        "subgroup", "new", "--family", "abelian", "--q", "2",
+        "--modulus", "t^3", "--basis", "100,010", "--out", str(bad),
+    )
+    doc = json.loads(bad.read_text())
+    doc["hom"]["target"]["basis"][0] = "900"
+    bad.write_text(json.dumps(doc))
+    assert _single_error(*run_cli(capsys, "subgroup", "index", "--spec", str(bad)))
+
 
 def test_cap_exhaustion_exits_two(tmp_path, capsys):
     spec = tmp_path / "p.json"

@@ -36,7 +36,7 @@ from drinfeld.genuine import (
     verdict,
     verdict_to_json,
 )
-from drinfeld.mat2 import mat_over_polys, poly_ring, translation
+from drinfeld.mat2 import mat_over_polys, translation
 from drinfeld.matgroups import ResidueMatrixGroup
 from drinfeld.poly import MonicIdeal, poly_from_string, residue_ring, t_power
 from drinfeld.subgroups import (
@@ -264,8 +264,7 @@ def test_verdict_keeps_quasi_level_when_congruence_hits_cap(monkeypatch):
 def test_verdict_invariant_under_standard_automorphisms():
     h = abelian_handle(F2, "0001", [(0, 1, 0)])
     base = verdict(h)
-    R = poly_ring(F2)
-    conj = InnerAuto(translation(R, P(F2, "01")))
+    conj = InnerAuto(translation(F2, P(F2, "01")))
     shifted = RingAuto(F2.label, 1, 1, 0)  # t -> t + 1
     for auto in (conj, shifted):
         moved = apply_auto(auto, h)

@@ -6,10 +6,12 @@ import pytest
 from drinfeld.config import DEFAULT_CONFIG
 from drinfeld.errors import CapExceeded, DomainError
 from drinfeld.fields import field
-from drinfeld.mat2 import Mat2
-from drinfeld.matgroups import ResidueMatrixGroup, code_mat, mat_code
-from drinfeld.poly import poly_from_string, residue_ring
+from drinfeld.mat2 import diag_mat, mat_over_polys, reduce_mat, translation, weyl
+from drinfeld.matgroups import ResidueMatrixGroup, mat_code
+from drinfeld.poly import one, poly_from_string, poly_gcd, residue_ring
 from drinfeld.verify import order_facts
+
+from helpers import code_entries, lifted, reduced
 
 F2 = field(2)
 F3 = field(3)
@@ -20,12 +22,12 @@ def ring(F, s):
 
 
 def exhaustive_oracle(R, kind):
-    """All codes whose matrix satisfies the determinant condition."""
+    """All codes whose matrix satisfies the determinant condition, with the
+    determinant taken over F_q[t] and reduced."""
     out = []
     for code in range(R.size**4):
-        m = code_mat(R, code)
-        det = m.det()
-        ok = det == 1 if kind == "SL" else R.is_unit(det)
+        det = lifted(R, code).det() % R.modulus
+        ok = det == one(R.F) if kind == "SL" else poly_gcd(det, R.modulus).degree == 0
         if ok:
             out.append(code)
     return np.array(out, dtype=np.int64)
@@ -80,7 +82,7 @@ def test_op_matches_matrix_multiplication():
     for x in pick[:20]:
         for y in pick[20:]:
             prod = G.mul(int(x), int(y))
-            assert code_mat(R, prod) == code_mat(R, int(x)) * code_mat(R, int(y))
+            assert lifted(R, prod) == reduced(R, lifted(R, x) * lifted(R, y))
 
 
 def test_inv_matches_matrix_inverse():
@@ -88,8 +90,9 @@ def test_inv_matches_matrix_inverse():
     G = ResidueMatrixGroup(R, "SL")
     els = G.elements()
     invs = G.inv_arr(els)
+    identity = mat_over_polys(R.F, (1, 0, 0, 1))
     for x, xi in zip(els[:50], invs[:50]):
-        assert code_mat(R, int(xi)) == code_mat(R, int(x)).inv()
+        assert reduced(R, lifted(R, x) * lifted(R, xi)) == identity
     assert np.all(G.op(els, invs) == G.identity_code())
 
 
@@ -114,7 +117,7 @@ def test_member_mask_matches_enumeration(F, mod, kind):
 
 def test_member_mask_rejects_codes_outside():
     R = ring(F3, "01")
-    det2 = mat_code(Mat2(R, 2, 0, 0, 1))
+    det2 = mat_code(reduce_mat(diag_mat(F3, 2, 1), R))
     codes = np.array([-1, R.size**4, det2], dtype=np.int64)
     assert not ResidueMatrixGroup(R, "SL").member_mask(codes).any()
     assert ResidueMatrixGroup(R, "GL").member_mask(codes).tolist() == [False, False, True]
@@ -133,8 +136,8 @@ def test_unit_group_generators():
     # u generate the unit group of the ring
     for F, mod in ((F2, "0001"), (F3, "001"), (F2, "011")):
         R = ring(F, mod)
-        mats = [code_mat(R, g) for g in ResidueMatrixGroup(R, "GL").generators()]
-        gens = [m.a for m in mats if (m.b, m.c, m.d) == (0, 0, 1)]
+        mats = [code_entries(R, g) for g in ResidueMatrixGroup(R, "GL").generators()]
+        gens = [a for a, *rest in mats if rest == [0, 0, 1]]
         have = {1}
         frontier = [1]
         while frontier:
@@ -187,23 +190,22 @@ def test_cap_checked_on_cached_enumeration():
 
 def test_mat_code_roundtrip():
     R = ring(F3, "001")
+    G = ResidueMatrixGroup(R, "SL")
     for code in (0, 1, 17, R.size**4 - 1):
-        assert mat_code(code_mat(R, code)) == code
+        entries = code_entries(R, code)
+        assert mat_code((R, *entries)) == code
+        assert G.encode(*entries) == code
+        assert G.decode(code) == entries
 
 
 def test_weyl_conjugates_translations():
     R = ring(F2, "001")
     G = ResidueMatrixGroup(R, "SL")
-    from drinfeld.mat2 import translation, weyl
-
-    w = mat_code(weyl(R))
-    tr = R.reduce_poly(poly_from_string(F2, "01"))
-    t = mat_code(translation(R, tr))
-    got = G.conj(t, w)
-    m = code_mat(R, got)
+    w = mat_code(reduce_mat(weyl(F2), R))
+    tr = poly_from_string(F2, "01")
+    t = mat_code(reduce_mat(translation(F2, tr), R))
     # conjugating an upper translation gives the matching lower one
-    assert m.b == 0 and m.a == 1 and m.d == 1
-    assert m.c == R.neg(tr)
+    assert code_entries(R, G.conj(t, w)) == (1, 0, R.reduce_poly(-tr), 1)
 
 
 def test_kind_validation():

@@ -14,7 +14,6 @@ from drinfeld.poly import (
     is_irreducible,
     monic_polys,
     one,
-    poly_extgcd,
     poly_from_string,
     poly_gcd,
     poly_lcm,
@@ -75,15 +74,6 @@ def test_divmod_invariant(a, b):
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
-
-
-@given(polys(F2), polys(F2))
-def test_extgcd_bezout(a, b):
-    g, u, v = poly_extgcd(a, b)
-    assert u * a + v * b == g
-    assert g == poly_gcd(a, b)
-    if not g.is_zero():
-        assert (a % g).is_zero() and (b % g).is_zero()
 
 
 @given(polys(F3, 4), polys(F3, 4))
@@ -158,7 +148,8 @@ def test_factorize_reconstructs(f):
     prod = constant(F2, u)
     for p, m in fs:
         assert is_irreducible(p)
-        prod = prod * p**m
+        for _ in range(m):
+            prod = prod * p
     assert prod == f
 
 
@@ -192,47 +183,50 @@ def test_ideal_divisors_frozen():
 def test_residue_ring_basics():
     R = residue_ring(P(F2, "001"))  # F_2[t]/(t^2)
     assert R.size == 4
-    for a in R.elements():
+    add, _, neg, unit, _ = R.tables()
+    for a in range(R.size):
         assert R.reduce_poly(R.lift(a)) == a
-        assert R.add(a, R.neg(a)) == 0
-        assert R.mul(a, R.one()) == a
+        assert add[a, neg[a]] == 0
+        assert R.mul(a, 1) == a
     t = R.reduce_poly(t_var(F2))
     assert R.mul(t, t) == 0
-    assert R.is_unit(R.reduce_poly(P(F2, "11")))
-    assert not R.is_unit(t)
+    assert unit[R.reduce_poly(P(F2, "11"))]
+    assert not unit[t]
 
 
 def test_residue_ring_units_and_inverses():
     R = residue_ring(P(F2, "0001"))  # F_2[t]/(t^3)
     us = R.units()
-    assert len(us) == 4
+    coprime = [a for a in range(R.size) if poly_gcd(R.lift(a), R.modulus).degree == 0]
+    assert us.tolist() == coprime and len(us) == 4
+    inv = R.tables()[4]
     for u in us:
-        assert R.mul(u, R.inv(u)) == 1
-    with pytest.raises(DomainError):
-        R.inv(R.reduce_poly(t_var(F2)))
+        assert R.mul(u, inv[u]) == 1
     # split modulus: F_2[t]/(t^2 + t) has a single unit
     S = residue_ring(P(F2, "011"))
-    assert S.units() == [1]
+    assert S.units().tolist() == [1]
 
 
 def test_residue_ring_matches_poly_arithmetic():
     R = residue_ring(P(F3, "101"))
-    f = R.modulus
-    for a in R.elements():
-        for b in R.elements():
-            assert R.add(a, b) == R.reduce_poly(R.lift(a) + R.lift(b))
+    add = R.tables()[0]
+    for a in range(R.size):
+        for b in range(R.size):
+            assert add[a, b] == R.reduce_poly(R.lift(a) + R.lift(b))
             assert R.mul(a, b) == R.reduce_poly(R.lift(a) * R.lift(b))
 
 
 def test_residue_ring_tables_consistent():
-    R = residue_ring(P(F2, "111"))
-    add, mul, neg, unit, inv = R.tables()
-    for a in R.elements():
-        assert neg[a] == R.neg(a)
-        assert unit[a] == R.is_unit(a)
-        for b in R.elements():
-            assert add[a, b] == R.add(a, b)
-            assert mul[a, b] == R.mul(a, b)
+    for F, mod in ((F2, "111"), (F2, "0001"), (F3, "2101"), (F4, "131"), (F4, "0001")):
+        R = residue_ring(P(F, mod))
+        add, mul, neg, unit, inv = R.tables()
+        for a in range(R.size):
+            assert neg[a] == R.reduce_poly(-R.lift(a))
+            assert unit[a] == (poly_gcd(R.lift(a), R.modulus).degree == 0)
+            assert R.mul(a, inv[a]) == (1 if unit[a] else 0)
+            for b in range(R.size):
+                assert add[a, b] == R.reduce_poly(R.lift(a) + R.lift(b))
+                assert mul[a, b] == R.mul(a, b)
 
 
 def test_residue_ring_cached():
@@ -249,4 +243,4 @@ def test_scale_and_shift():
     p = P(F3, "12")
     assert p.scale(2) == P(F3, "21")
     assert p.shift(2) == P(F3, "0012")
-    assert t_power(F3, 3) == t_var(F3) ** 3
+    assert t_power(F3, 3) == t_var(F3) * t_var(F3) * t_var(F3)

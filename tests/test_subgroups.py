@@ -14,7 +14,7 @@ from drinfeld.config import RunConfig
 from drinfeld.errors import CapExceeded, DomainError
 from drinfeld.fields import field
 from drinfeld.fingroup import closure
-from drinfeld.mat2 import poly_ring, translation, weyl
+from drinfeld.mat2 import translation, weyl
 from drinfeld.poly import MonicIdeal, Poly, poly_from_string, residue_ring
 from drinfeld.subgroups import (
     SubgroupHandle,
@@ -150,8 +150,8 @@ def test_principal_congruence_handle_properties():
     rep = is_congruence(h)
     assert rep.congruence and rep.witness is None
     assert h.index_in_domain() == 6
-    assert h.contains_matrix(translation(poly_ring(F2), P(F2, "01")))
-    assert not h.contains_matrix(weyl(poly_ring(F2)))
+    assert h.contains_matrix(translation(F2, P(F2, "01")))
+    assert not h.contains_matrix(weyl(F2))
 
 
 def test_reduction_handles_are_always_congruence():
@@ -249,8 +249,8 @@ def test_image_cap_checked_on_cached_image():
 
 def test_handle_checks_closedness():
     hom = ReductionHom(residue_ring(P(F2, "01")), "SL")
-    w = hom.eval_matrix(weyl(poly_ring(F2)))
-    t1 = hom.eval_matrix(translation(poly_ring(F2), P(F2, "1")))
+    w = hom.eval_matrix(weyl(F2))
+    t1 = hom.eval_matrix(translation(F2, P(F2, "1")))
     with pytest.raises(DomainError):
         handle_from_codes(hom, [hom.target.identity_code(), w, t1])
     with pytest.raises(DomainError):
