@@ -1,36 +1,36 @@
-"""Letter decompositions of GL2 over F_q[t], and homomorphisms to finite groups.
+"""Euclid division steps of GL2 over F_q[t], and homomorphisms to finite groups.
 
-Every matrix with unit determinant factors into an alternating product of
-constant matrices and triangular letters whose corner has positive degree.
-A homomorphism into a finite group is described by where it sends constant
-matrices and the translations T(c t^i); the translation data is a finite
-list of per-degree tables together with an eventually repeating cycle, so
-reductions modulo any monic polynomial and their twists all fit one format.
+Every matrix with unit determinant is a product of rotations w^-1,
+translations T(q) and one final triangular factor, read off by euclidean
+division (matrix_to_word).  The group is Nagao's amalgam of the constant
+matrices and the triangular matrices over F_q[t], so a homomorphism is
+determined by its restriction to each factor: any such factorization
+gives the same image and no normal form is needed.  A homomorphism into
+a finite group is described by where it sends constant matrices and the
+translations T(c t^i); the translation data is a finite list of
+per-degree tables together with an eventually repeating cycle, so
+reductions modulo any monic polynomial and their twists all fit one
+format.
 
 Two realizations share the same calling surface: ReductionHom reduces the
-entries natively, TableHom folds coefficient tables.  Both expose a
-conductor, a monic modulus f with every unit-determinant matrix congruent
-to the identity mod f mapping to the identity.
+entries natively, TableHom folds coefficient tables over the division
+steps.  Both expose a conductor, a monic modulus f with every
+unit-determinant matrix congruent to the identity mod f mapping to the
+identity.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_GROUP_CAP
-from .errors import DomainError, MalformedWord, ValidationError
+from .errors import DomainError, ValidationError
 from .fields import field_from_label
 from .fingroup import (
     AdditiveQuotientGroup,
     SymmetricGroup,
     TableGroup,
-    closure,
     first_outside,
 )
 from .mat2 import (
-    borel_mat,
     domain_generator_matrices,
-    mat_over_polys,
     reduce_mat,
     translation,
     weyl,
@@ -39,7 +39,6 @@ from .matgroups import ResidueMatrixGroup, mat_code
 from .poly import (
     DIGIT_CHARS,
     MonicIdeal,
-    Poly,
     digits_text,
     one as poly_one,
     poly_from_string,
@@ -51,165 +50,37 @@ from .poly import (
 from .subspace import SubspaceDesc
 
 # ---------------------------------------------------------------------------
-# letters and words
-
-
-@dataclass(frozen=True)
-class ConstLetter:
-    """A constant matrix with unit determinant, as a 4-tuple of field elements."""
-
-    F: object
-    entries: tuple
-
-    def matrix(self):
-        return mat_over_polys(self.F, self.entries)
-
-
-@dataclass(frozen=True)
-class BorelLetter:
-    """Triangular letter: unit diagonal (alpha, beta), corner of degree >= 1."""
-
-    alpha: int
-    beta: int
-    corner: Poly
-
-    def matrix(self):
-        return borel_mat(self.corner.F, self.alpha, self.beta, self.corner)
-
-
-def _const_from_mat(m):
-    F = m.F
-    es = []
-    for e in m.entries():
-        if e.degree > 0:
-            raise MalformedWord("constant letter with nonconstant entry")
-        es.append(e.constant_term())
-    det = F.sub(F.mul(es[0], es[3]), F.mul(es[1], es[2]))
-    if det == 0:
-        raise MalformedWord("constant letter with zero determinant")
-    return ConstLetter(F, tuple(es))
-
-
-def _merge_const(a, b):
-    return _const_from_mat(a.matrix() * b.matrix())
-
-
-def _merge_borel(a, b):
-    F = a.corner.F
-    alpha = F.mul(a.alpha, b.alpha)
-    beta = F.mul(a.beta, b.beta)
-    corner = a.corner.scale(b.beta) + b.corner.scale(a.alpha)
-    return alpha, beta, corner
-
-
-def _identity_const(letter):
-    return letter.entries == (1, 0, 0, 1)
-
-
-def normalize_letters(letters):
-    """Fold a letter list into alternating normal form.
-
-    Adjacent letters of one type merge; triangular letters whose corner
-    degenerates to a constant become constant letters and merge onward.
-    The identity is the empty word.
-    """
-    out = []
-
-    def push(letter):
-        if isinstance(letter, BorelLetter) and letter.corner.degree < 1:
-            F = letter.corner.F
-            letter = ConstLetter(
-                F, (letter.alpha, letter.corner.constant_term(), 0, letter.beta)
-            )
-        if isinstance(letter, ConstLetter):
-            if out and isinstance(out[-1], ConstLetter):
-                merged = _merge_const(out.pop(), letter)
-                push(merged)
-                return
-            if _identity_const(letter):
-                return
-            out.append(letter)
-        else:
-            if out and isinstance(out[-1], BorelLetter):
-                alpha, beta, corner = _merge_borel(out.pop(), letter)
-                if corner.degree < 1:
-                    push(
-                        ConstLetter(
-                            corner.F, (alpha, corner.constant_term(), 0, beta)
-                        )
-                    )
-                else:
-                    push(BorelLetter(alpha, beta, corner))
-                return
-            out.append(letter)
-
-    for letter in letters:
-        if isinstance(letter, ConstLetter):
-            F = letter.F
-            det = F.sub(
-                F.mul(letter.entries[0], letter.entries[3]),
-                F.mul(letter.entries[1], letter.entries[2]),
-            )
-            if det == 0:
-                raise MalformedWord("constant letter with zero determinant")
-        elif isinstance(letter, BorelLetter):
-            if letter.alpha == 0 or letter.beta == 0:
-                raise MalformedWord("triangular letter with zero diagonal entry")
-        else:
-            raise MalformedWord(f"unknown letter {letter!r}")
-        push(letter)
-    return tuple(out)
-
-
-def word_matrix(F, letters):
-    m = mat_over_polys(F, (1, 0, 0, 1))
-    for letter in letters:
-        m = m * letter.matrix()
-    return m
+# division steps
 
 
 def matrix_to_word(m):
-    """Decompose a unit-determinant polynomial matrix into letters.
+    """Euclid division steps of a unit-determinant polynomial matrix.
 
-    Peels from the left: when the lower-left entry dominates, a rotation
-    letter swaps the rows; otherwise one euclidean division step moves the
-    top-left entry below the lower-left.  The lower-left degree drops at
+    Peels from the left: when the lower-left entry dominates, the rotation
+    w^-1 swaps the rows (step None); otherwise one euclidean division step
+    by the quotient q moves the top-left entry below the lower-left (step
+    q, standing for the translation T(q)).  The lower-left degree drops at
     least every second step, so the loop ends with a triangular matrix.
+    Returns the steps followed by that factor (alpha, beta, corner), so m
+    is the product of the steps and [[alpha, corner], [0, beta]].
     """
     F = m.F
     det = m.det()
     if det.degree != 0:
         raise DomainError("matrix determinant is not a unit")
     w = weyl(F)
-    w_inv_letter = ConstLetter(F, (0, 1, F.neg(1), 0))
-    letters = []
+    steps = []
     work = m
     while not work.c.is_zero():
         if work.a.degree < work.c.degree:
-            letters.append(w_inv_letter)
+            steps.append(None)
             work = w * work
         else:
             quot, _ = divmod(work.a, work.c)
-            letters.append(BorelLetter(1, 1, quot))
+            steps.append(quot)
             work = translation(F, -quot) * work
-    if work.b.degree < 1:
-        letters.append(
-            ConstLetter(
-                F,
-                (
-                    work.a.constant_term(),
-                    work.b.constant_term(),
-                    0,
-                    work.d.constant_term(),
-                ),
-            )
-        )
-    else:
-        letters.append(
-            BorelLetter(work.a.constant_term(), work.d.constant_term(), work.b)
-        )
-    word = normalize_letters(letters)
-    return word
+    steps.append((work.a.constant_term(), work.d.constant_term(), work.b))
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +121,10 @@ class ReductionHom:
         _check_domain(self.kind, m)
         return int(mat_code(reduce_mat(m, self.ring)))
 
-    def eval_word(self, letters):
-        return self.eval_matrix(word_matrix(self.F, letters))
-
     def image_generators(self):
         """Images of the standard generators of the domain group."""
         mats = domain_generator_matrices(self.F, self.kind, self.ring.d)
         return sorted({self.eval_matrix(m) for m in mats})
-
-    def image_elements(self, cap=DEFAULT_GROUP_CAP):
-        return closure(self.target, self.image_generators(), cap)
 
     def __repr__(self):
         return f"ReductionHom({self.kind}2 mod {self.ring.modulus.digits_str()})"
@@ -340,32 +205,29 @@ class TableHom:
         except KeyError:
             raise DomainError(f"constant {entries} is outside the domain group")
 
-    def letter_image(self, letter):
-        if isinstance(letter, ConstLetter):
-            return self.const_image(letter.entries)
-        F = self.F
-        ai = F.inv(letter.alpha)
-        rho = self.const_image((letter.alpha, 0, 0, letter.beta))
-        return self.target.mul(rho, self.translation_image(letter.corner.scale(ai)))
-
-    def eval_word(self, letters):
-        code = self.target.identity_code()
-        for letter in letters:
-            code = self.target.mul(code, self.letter_image(letter))
-        return code
-
     def eval_matrix(self, m):
+        """Fold the division steps of m into target codes: w^-1 and the
+        diagonal of the last factor through the constant table, T(q) and
+        the last corner (over alpha) through the translation tables."""
         _check_domain(self.kind, m)
-        return self.eval_word(matrix_to_word(m))
+        F = self.F
+        T = self.target
+        *steps, (alpha, beta, corner) = matrix_to_word(m)
+        code = T.identity_code()
+        for q in steps:
+            if q is None:
+                step = self.const_image((0, 1, F.neg(1), 0))
+            else:
+                step = self.translation_image(q)
+            code = T.mul(code, step)
+        code = T.mul(code, self.const_image((alpha, 0, 0, beta)))
+        return T.mul(code, self.translation_image(corner.scale(F.inv(alpha))))
 
     def image_generators(self):
         gens = set(self.const_table.values())
         for t in self.pre_tables + self.cyc_tables:
             gens.update(t)
         return sorted(gens)
-
-    def image_elements(self, cap=DEFAULT_GROUP_CAP):
-        return closure(self.target, self.image_generators(), cap)
 
     # -- validation
 

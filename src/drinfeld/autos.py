@@ -2,9 +2,10 @@
 
 Standard automorphisms: conjugation, the transpose-inverse, determinant
 twists, and coefficient-field or variable substitutions.  Non-standard
-ones act on the triangular factor only, replacing the corner entry of
-each triangular letter by its image under an F_q-linear bijection of the
-polynomial ring that fixes 1 and all large-degree monomials.
+ones act on the triangular factor only: along the division steps of a
+matrix (amalgam.matrix_to_word) they replace each translation quotient
+and the last triangular corner by its image under an F_q-linear bijection
+of the polynomial ring that fixes 1 and all large-degree monomials.
 
 Applying an automorphism s to a handle (h, U) produces the handle
 (h o s^-1, U) for the image subgroup s(H); the composed map is always
@@ -15,18 +16,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .amalgam import (
-    BorelLetter,
     TableHom,
     matrix_to_word,
     reduction_as_table_hom,
     ReductionHom,
     t_power_cycle,
-    word_matrix,
 )
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
 from .fields import field_from_label
-from .mat2 import Mat2, mat_over_polys, weyl
+from .mat2 import Mat2, borel_mat, mat_over_polys, translation, weyl
 from .poly import (
     MonicIdeal,
     Poly,
@@ -166,7 +165,7 @@ class RingAuto:
 
 @dataclass(frozen=True)
 class NonStandardAuto:
-    """Letter-level map fixing constants, corner entries through phi.
+    """Map of the triangular factor fixing constants, corner entries through phi.
 
     images[j] is phi(t^j); monomials above the listed range are fixed.
     phi must be an F_q-linear bijection with phi(1) = 1.
@@ -236,16 +235,16 @@ class NonStandardAuto:
         return inv
 
     def apply_matrix(self, m):
-        word = matrix_to_word(m)
-        out = []
-        for letter in word:
-            if isinstance(letter, BorelLetter):
-                out.append(
-                    BorelLetter(letter.alpha, letter.beta, self.apply_poly(letter.corner))
-                )
-            else:
-                out.append(letter)
-        return word_matrix(m.F, out)
+        # phi is F_q-linear and fixes 1, so [[a, x], [0, b]] -> [[a, phi(x)],
+        # [0, b]] is a homomorphism of the triangular factor that fixes the
+        # constants; the division steps of m need no normal form.
+        F = m.F
+        *steps, (alpha, beta, corner) = matrix_to_word(m)
+        out = borel_mat(F, alpha, beta, self.apply_poly(corner))
+        w_inv = weyl(F).inv()
+        for q in reversed(steps):
+            out = (w_inv if q is None else translation(F, self.apply_poly(q))) * out
+        return out
 
 
 def auto_to_json(auto):

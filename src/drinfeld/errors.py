@@ -9,10 +9,6 @@ class CapExceeded(RuntimeError):
     """A computation would exceed a configured size cap and was refused."""
 
 
-class MalformedWord(DomainError):
-    """A group word violates the alternating normal form."""
-
-
 class ValidationError(DomainError):
     """A homomorphism or automorphism description failed a consistency rule.
 

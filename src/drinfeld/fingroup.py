@@ -9,7 +9,7 @@ shared across realizations.
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
+from math import factorial, gcd
 
 import numpy as np
 
@@ -492,6 +492,22 @@ def _prime_powers_from(start):
         m += 1
 
 
+def psl2_order(m):
+    """Order of the fractional linear group over F_m: m (m^2 - 1) / gcd(2, m - 1)."""
+    return m * (m * m - 1) // gcd(2, m - 1)
+
+
+def psl2_orders_up_to(q, n):
+    """Orders over F_{q^s}, s = 1, 2, ..., that are at most n; for a fixed q
+    they grow with s."""
+    out = []
+    m = q
+    while psl2_order(m) <= n:
+        out.append(psl2_order(m))
+        m *= q
+    return out
+
+
 def psl2_order_param(n):
     """Smallest prime power m >= 4 whose fractional linear group order is n.
 
@@ -501,22 +517,8 @@ def psl2_order_param(n):
     for m in _prime_powers_from(4):
         if m * (m * m - 1) // 2 > n:
             return None
-        o = m * (m * m - 1) // (1 if m % 2 == 0 else 2)
-        if o == n:
+        if psl2_order(m) == n:
             return m
-
-
-def is_psl2_order_over(q, n):
-    """True if n is q^s (q^(2s) - 1) / gcd(2, q^s - 1) for some s >= 1."""
-    s = 1
-    while True:
-        m = q**s
-        v = m * (m * m - 1) // (1 if m % 2 == 0 else 2)
-        if v == n:
-            return True
-        if v > n:
-            return False
-        s += 1
 
 
 def describe_simple(order):

@@ -34,7 +34,8 @@ from .fingroup import (
     QuotientGroup,
     composition_factors,
     is_normal,
-    is_psl2_order_over,
+    psl2_order,
+    psl2_orders_up_to,
 )
 from .amalgam import ReductionHom
 from .mat2 import diag_mat
@@ -62,10 +63,6 @@ __all__ = [
     "psl2_order",
     "pgl2_order",
 ]
-
-
-def psl2_order(q):
-    return q * (q * q - 1) // gcd(2, q - 1)
 
 
 def pgl2_order(q):
@@ -163,21 +160,11 @@ def factor_certificate_from_quotient(Q, q, cap):
     check is order-based and sound-negative: a colliding order yields no
     certificate rather than a guess.
     """
-    factors = composition_factors(Q, cap=cap)
-    family = []
-    s = 1
-    top = max((f.order for f in factors), default=1)
-    while True:
-        m = q**s
-        o = psl2_order(m)
-        family.append(o)
-        if o >= top:
-            break
-        s += 1
-    for f in factors:
+    for f in composition_factors(Q, cap=cap):
         if f.kind == "cyclic_prime":
             continue
-        if not is_psl2_order_over(q, f.order):
+        family = psl2_orders_up_to(q, f.order)
+        if f.order not in family:
             return (
                 "composition-factor",
                 {
@@ -185,7 +172,7 @@ def factor_certificate_from_quotient(Q, q, cap):
                     "factor_order": f.order,
                     "factor_kind": f.kind,
                     "quotient_order": int(Q.order()),
-                    "family_orders_checked": [o for o in family if o <= f.order],
+                    "family_orders_checked": family,
                 },
             )
     return None
@@ -214,17 +201,8 @@ def recheck_certificate(v):
         order = cert["factor_order"]
         if cert["factor_kind"] == "cyclic_prime":
             return False
-        if is_psl2_order_over(q, order):
-            return False
-        expected = []
-        s = 1
-        while True:
-            o = psl2_order(q**s)
-            if o > order:
-                break
-            expected.append(o)
-            s += 1
-        return expected == cert["family_orders_checked"]
+        expected = psl2_orders_up_to(q, order)
+        return order not in expected and expected == cert["family_orders_checked"]
     hit = quick_criteria(
         cert["q"],
         cert["kind"],
@@ -350,6 +328,7 @@ def verdict(handle, config=DEFAULT_CONFIG):
 
 
 _MINIMAL_PROPER_INDEX = {2: 2, 3: 3, 4: 5, 5: 5, 7: 7, 8: 9, 9: 6, 11: 11, 13: 14, 16: 17}
+_FACT_FLAGS = {"q": "--q", "g": "--genus", "delta": "--punctures"}
 
 
 def facts_lookup(key, **kw):
@@ -359,52 +338,63 @@ def facts_lookup(key, **kw):
     coordinate-fixed-part(g,delta), noncongruence-minimum(q),
     normal-noncongruence-minimum(kind,q), genuine-minimum-lower-bound(q),
     normal-genuine-minimum-lower-bound(kind,q), psl2-order(q),
-    pgl2-order(q).
+    pgl2-order(q).  q must be a prime power, g at least 0 and delta at
+    least 1; a missing parameter is named by its command-line flag.
     """
+    if kw.get("q") is not None and len(prime_factors(kw["q"])) != 1:
+        raise DomainError(f"--q {kw['q']} is not a prime power")
+    if kw.get("g") is not None and kw["g"] < 0:
+        raise DomainError(f"--genus {kw['g']} is negative")
+    if kw.get("delta") is not None and kw["delta"] < 1:
+        raise DomainError(f"--punctures {kw['delta']} is below 1")
+
+    def need(name):
+        if kw.get(name) is None:
+            raise DomainError(f"fact {key} needs {_FACT_FLAGS[name]}")
+        return kw[name]
+
     if key == "minimal-proper-index":
-        q = kw["q"]
+        q = need("q")
         if q in _MINIMAL_PROPER_INDEX:
             return _MINIMAL_PROPER_INDEX[q]
         if q > 11:
             return q + 1
         raise DomainError(f"no minimal proper index tabulated for q={q}")
     if key == "psl2-order":
-        return psl2_order(kw["q"])
+        return psl2_order(need("q"))
     if key == "pgl2-order":
-        return pgl2_order(kw["q"])
+        return pgl2_order(need("q"))
     if key == "rank-zero":
         kind = kw.get("kind", "GL")
-        g, delta = kw["g"], kw["delta"]
+        g, delta = need("g"), need("delta")
         if kind == "GL":
             return (g, delta) in {(1, 1), (0, 1), (0, 2), (0, 3)}
-        q = kw["q"]
         base = {(0, 1), (0, 2)}
-        if q % 2 == 0:
+        if need("q") % 2 == 0:
             base |= {(0, 3), (1, 1)}
         return (g, delta) in base
     if key == "coordinate-fixed-part":
-        g, delta = kw["g"], kw["delta"]
-        n0 = 0
-        while delta * n0 < 2 * g - 1:
-            n0 += 1
+        g, delta = need("g"), need("delta")
+        # the least n0 >= 0 with delta * n0 >= 2g - 1
+        n0 = max(0, -((1 - 2 * g) // delta))
         return {"n0": n0, "dim": n0 * delta + 1 - g}
     if key == "noncongruence-minimum":
-        q = kw["q"]
+        q = need("q")
         if q == 2:
             return 2
         raise DomainError(f"no noncongruence minimum tabulated for q={q}")
     if key == "normal-noncongruence-minimum":
-        q = kw["q"]
+        q = need("q")
         if kw.get("kind", "SL") != "SL":
             raise DomainError("normal noncongruence minimum tabulated for SL only")
         return q if q <= 3 else psl2_order(q)
     if key == "genuine-minimum-lower-bound":
-        q = kw["q"]
+        q = need("q")
         if prime_factors(q) != [q]:
             raise DomainError("the genuine minimum bound needs a prime field")
         return 2 * q
     if key == "normal-genuine-minimum-lower-bound":
-        q = kw["q"]
+        q = need("q")
         if kw.get("kind", "SL") == "SL":
             return q * psl2_order(q) if q > 3 else q * q
         return q * q * (q * q - 1) if q > 3 else q * q

@@ -130,12 +130,6 @@ class Poly:
             return Poly(F, ())
         return Poly(F, tuple(F.mul(c, x) for x in self.coeffs))
 
-    def shift(self, k):
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.F, (0,) * k + self.coeffs)
-
     def __add__(self, other):
         F = self.F
         a, b = self.coeffs, other.coeffs
@@ -412,25 +406,8 @@ class MonicIdeal:
     def is_unit_ideal(self):
         return self.gen.degree == 0
 
-    def contains(self, p):
-        if self.is_zero():
-            return p.is_zero()
-        return (p % self.gen).is_zero()
-
-    def sum_with(self, other):
-        return MonicIdeal(poly_gcd(self.gen, other.gen))
-
-    def product(self, other):
-        return MonicIdeal(self.gen * other.gen)
-
     def intersect(self, other):
         return MonicIdeal(poly_lcm(self.gen, other.gen))
-
-    def index(self):
-        """Number of residues, q^degree of the generator."""
-        if self.is_zero():
-            raise DomainError("the zero ideal has infinite index")
-        return self.gen.norm_size()
 
     def divisors(self):
         """All ideals containing this one, i.e. monic divisors of the generator."""

@@ -172,7 +172,7 @@ class SubgroupHandle:
     def image(self, cap=DEFAULT_GROUP_CAP):
         """Image of h, computed once; every call is checked against its cap."""
         if self._image is None:
-            self._image = self.hom.image_elements(cap)
+            self._image = closure(self.target, self.hom.image_generators(), cap)
         refuse_above(self._image.size, cap, "image")
         return self._image
 

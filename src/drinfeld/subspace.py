@@ -130,9 +130,6 @@ class SubspaceDesc:
     def __hash__(self):
         return hash((self.F.label, self.ambient_dim, self.basis))
 
-    def __le__(self, other):
-        return all(other.contains(v) for v in self.basis)
-
     def __repr__(self):
         return f"SubspaceDesc(dim {self.dim} of F_{self.F.q}^{self.ambient_dim})"
 

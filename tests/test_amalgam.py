@@ -1,6 +1,6 @@
-"""Word decomposition and homomorphism tests.
+"""Division-step decomposition and homomorphism tests.
 
-The central consistency check: evaluating through letter decompositions and
+The central consistency check: evaluating through the division steps and
 translation tables must agree with native entrywise reduction, across
 moduli whose t-power sequences are trivial, terminating, and cyclic.
 """
@@ -9,24 +9,21 @@ import numpy as np
 import pytest
 
 from drinfeld.amalgam import (
-    BorelLetter,
-    ConstLetter,
     ReductionHom,
     TableHom,
     hom_from_json,
     hom_to_json,
     matrix_to_word,
-    normalize_letters,
     reduction_as_table_hom,
     target_from_json,
     target_to_json,
-    word_matrix,
 )
-from drinfeld.errors import DomainError, MalformedWord, ValidationError
+from drinfeld.errors import DomainError, ValidationError
 from drinfeld.fields import field
-from drinfeld.mat2 import diag_mat, mat_over_polys, reduce_mat, weyl
+from drinfeld.fingroup import closure
+from drinfeld.mat2 import borel_mat, diag_mat, mat_over_polys, reduce_mat, translation, weyl
 from drinfeld.matgroups import ResidueMatrixGroup, mat_code
-from drinfeld.poly import poly_from_string, residue_ring
+from drinfeld.poly import poly_from_string, residue_ring, zero
 from drinfeld.subgroups import from_quasilevel_abelian
 from drinfeld.subspace import subspace
 
@@ -41,20 +38,25 @@ def P(F, s):
     return poly_from_string(F, s)
 
 
+def rebuild(F, word):
+    """The product of the division steps and the last triangular factor."""
+    *steps, (alpha, beta, corner) = word
+    m = mat_over_polys(F, (1, 0, 0, 1))
+    for q in steps:
+        m = m * (weyl(F).inv() if q is None else translation(F, q))
+    return m * borel_mat(F, alpha, beta, corner)
+
+
 def test_decomposition_worked_example():
     m = mat_over_polys(F2, (P(F2, "1"), P(F2, "0"), P(F2, "01"), P(F2, "1")))
     word = matrix_to_word(m)
-    assert word == (
-        ConstLetter(F2, (0, 1, 1, 0)),
-        BorelLetter(1, 1, P(F2, "01")),
-        ConstLetter(F2, (0, 1, 1, 0)),
-    )
-    assert word_matrix(F2, word) == m
+    assert word == (None, P(F2, "01"), None, (1, 1, zero(F2)))
+    assert rebuild(F2, word) == m
 
 
 def test_identity_decomposes_to_empty_word():
     m = mat_over_polys(F3, (1, 0, 0, 1))
-    assert matrix_to_word(m) == ()
+    assert matrix_to_word(m) == ((1, 1, zero(F3)),)
 
 
 @pytest.mark.parametrize("F", [F2, F3])
@@ -62,24 +64,18 @@ def test_roundtrip_many_matrices(F):
     rng = np.random.default_rng(11 + F.q)
     for _ in range(400):
         m = random_sl2(F, rng)
-        word = matrix_to_word(m)
-        assert word_matrix(F, word) == m
-        # alternating normal form
-        for a, b in zip(word, word[1:]):
-            assert type(a) is not type(b)
-        for letter in word:
-            if isinstance(letter, BorelLetter):
-                assert letter.corner.degree >= 1
+        assert rebuild(F, matrix_to_word(m)) == m
 
 
 def test_roundtrip_gl_matrices():
     rng = np.random.default_rng(5)
     for _ in range(200):
         m = random_gl2(F3, rng)
-        assert word_matrix(F3, matrix_to_word(m)) == m
+        assert rebuild(F3, matrix_to_word(m)) == m
 
 
 def test_word_length_bound():
+    # the steps plus the last factor
     rng = np.random.default_rng(3)
     for _ in range(200):
         m = random_sl2(F2, rng, steps=8, max_deg=3)
@@ -91,24 +87,6 @@ def test_nonunit_determinant_rejected():
     m = mat_over_polys(F2, (P(F2, "01"), P(F2, "0"), P(F2, "0"), P(F2, "1")))
     with pytest.raises(DomainError):
         matrix_to_word(m)
-
-
-def test_normalize_merges_borels():
-    raw = [BorelLetter(1, 1, P(F2, "01")), BorelLetter(1, 1, P(F2, "01"))]
-    assert normalize_letters(raw) == ()  # corners cancel over F_2
-    raw = [BorelLetter(2, 1, P(F3, "01")), BorelLetter(2, 1, P(F3, "001"))]
-    merged = normalize_letters(raw)
-    assert len(merged) == 1
-    assert merged[0].matrix() == raw[0].matrix() * raw[1].matrix()
-
-
-def test_malformed_letters():
-    with pytest.raises(MalformedWord):
-        normalize_letters([ConstLetter(F2, (1, 0, 0, 0))])
-    with pytest.raises(MalformedWord):
-        normalize_letters([BorelLetter(0, 1, P(F2, "01"))])
-    with pytest.raises(MalformedWord):
-        normalize_letters(["junk"])
 
 
 MODULI = {
@@ -125,10 +103,7 @@ def test_reduction_hom_word_path_matches_direct(q, mods):
         h = ReductionHom(residue_ring(P(F, mod)), "SL")
         for _ in range(60):
             m = random_sl2(F, rng)
-            direct = h.eval_matrix(m)
-            via_word = h.eval_word(matrix_to_word(m))
-            assert direct == via_word
-            assert lifted(h.ring, direct) == reduced(h.ring, m)
+            assert lifted(h.ring, h.eval_matrix(m)) == reduced(h.ring, m)
 
 
 @pytest.mark.parametrize("q,mods", sorted(MODULI.items()))
@@ -142,8 +117,9 @@ def test_table_hom_matches_reduction(q, mods):
         for _ in range(40):
             a = random_poly(F, rng, max_deg=7)
             assert tab.translation_image(a) == red.translation_image(a)
-        for _ in range(40):
-            m = random_sl2(F, rng)
+        # the first quotient of [[t+1, 1], [t, 1]] is the constant 1
+        fixed = mat_over_polys(F, (P(F, "11"), P(F, "1"), P(F, "01"), P(F, "1")))
+        for m in [fixed] + [random_sl2(F, rng) for _ in range(40)]:
             assert tab.eval_matrix(m) == red.eval_matrix(m)
 
 
@@ -205,9 +181,9 @@ def test_conductor_kills_multiples():
 def test_image_generators_closure_is_full_sl():
     R = residue_ring(P(F2, "001"))
     red = ReductionHom(R, "SL")
-    assert red.image_elements().size == 48
+    assert closure(red.target, red.image_generators()).size == 48
     tab = reduction_as_table_hom(R, "SL")
-    assert tab.image_elements().size == 48
+    assert closure(tab.target, tab.image_generators()).size == 48
 
 
 def test_gl_image_is_proper_for_higher_modulus():
@@ -215,7 +191,8 @@ def test_gl_image_is_proper_for_higher_modulus():
     # of the unit-determinant group is smaller than full GL2 of the ring
     for F, mod, image, order in ((F2, "001", 48, 96), (F3, "001", 1296, 3888)):
         R = residue_ring(P(F, mod))
-        im = ReductionHom(R, "GL").image_elements()
+        red = ReductionHom(R, "GL")
+        im = closure(red.target, red.image_generators())
         full = ResidueMatrixGroup(R, "GL").elements()
         assert (im.size, full.size) == (image, order)
         assert np.isin(im, full).all()

@@ -231,6 +231,27 @@ def test_facts_verbs(capsys):
     assert got["value"] is True
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["coordinate-fixed-part", "--genus", "1", "--punctures", "0"], "--punctures"),
+        (["coordinate-fixed-part", "--genus", "1", "--punctures", "-1"], "--punctures"),
+        (["coordinate-fixed-part", "--genus", "-1", "--punctures", "1"], "--genus"),
+        (["coordinate-fixed-part", "--genus", "1"], "--punctures"),
+        (["rank-zero", "--q", "2"], "--genus"),
+        (["rank-zero", "--group", "sl2", "--genus", "0", "--punctures", "3"], "--q"),
+        (["psl2-order"], "--q"),
+        (["minimal-proper-index"], "--q"),
+        (["psl2-order", "--q", "0"], "--q"),
+        (["psl2-order", "--q", "6"], "--q"),
+        (["pgl2-order", "--q", "-4"], "--q"),
+    ],
+)
+def test_bad_fact_parameters_rejected(capsys, argv, named):
+    code, out, err = run_cli(capsys, "facts", "get", *argv)
+    assert _single_error(code, out, err) and named in err
+
+
 def test_oracle_verbs(capsys):
     got = run_json(
         capsys, "oracle", "enumerate", "--group", "sl2", "--q", "2", "--modulus", "t^2+t"

@@ -21,12 +21,12 @@ from drinfeld.fingroup import (
     core_in,
     derived_subgroup,
     is_normal,
-    is_psl2_order_over,
     minimal_proper_index,
     normal_closure,
     orders_arr,
     pow_arr,
     psl2_order_param,
+    psl2_orders_up_to,
     small_generating_set,
 )
 
@@ -309,11 +309,12 @@ def test_psl2_order_helpers():
     assert psl2_order_param(504) == 8
     assert psl2_order_param(2520) is None
     assert psl2_order_param(100) is None
-    assert is_psl2_order_over(2, 6)
-    assert is_psl2_order_over(3, 12)
-    assert is_psl2_order_over(2, 60)  # s = 2 gives the order of the A5 group
-    assert not is_psl2_order_over(2, 2520)
-    assert not is_psl2_order_over(3, 60)
+    assert psl2_orders_up_to(2, 6) == [6]
+    assert psl2_orders_up_to(3, 12) == [12]
+    assert psl2_orders_up_to(2, 60) == [6, 60]  # s = 2 gives the order of the A5 group
+    assert psl2_orders_up_to(2, 2520) == [6, 60, 504]
+    assert psl2_orders_up_to(3, 60) == [12]
+    assert psl2_orders_up_to(5, 59) == []
 
 
 def test_all_subgroups_counts():

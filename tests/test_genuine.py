@@ -20,7 +20,7 @@ from drinfeld.autos import InnerAuto, RingAuto, apply_auto, auto_from_json
 from drinfeld.config import RunConfig
 from drinfeld.errors import DomainError
 from drinfeld.fields import field
-from drinfeld.fingroup import SymmetricGroup, all_subgroups, is_normal
+from drinfeld.fingroup import SymmetricGroup, all_subgroups, closure, is_normal
 from drinfeld.genuine import (
     Verdict,
     diagonal_torus_inside,
@@ -327,14 +327,18 @@ def test_verdict_non_normal_core_reduction():
 
 def test_verdict_requires_proper_subgroup():
     hom = ReductionHom(residue_ring(P(F2, "01")), "SL")
-    h = SubgroupHandle(hom, hom.image_elements(), name="everything")
+    h = SubgroupHandle(
+        hom, closure(hom.target, hom.image_generators()), name="everything"
+    )
     with pytest.raises(DomainError):
         verdict(h)
 
 
 def test_torus_containment_probe():
     hom = ReductionHom(residue_ring(P(F3, "01")), "GL")
-    full = SubgroupHandle(hom, hom.image_elements(), name="full")
+    full = SubgroupHandle(
+        hom, closure(hom.target, hom.image_generators()), name="full"
+    )
     assert diagonal_torus_inside(full)
     scal = scalar_congruence_handle(P(F3, "01"), kind="GL")
     assert not diagonal_torus_inside(scal)
