@@ -24,7 +24,7 @@ from .amalgam import (
 )
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
-from .fields import field_from_label
+from .fields import field, field_from_label
 from .mat2 import Mat2, borel_mat, mat_over_polys, translation, weyl
 from .poly import (
     MonicIdeal,
@@ -40,6 +40,8 @@ from .subgroups import (
     CongruenceReport,
     QuasiLevel,
     SubgroupHandle,
+    congruence_at,
+    ideal_basis,
     is_congruence,
     largest_ideal_inside,
     prime_coordinates,
@@ -413,12 +415,10 @@ def _lift_rows(ql):
     return [Poly(F, code_to_digits(digits_to_code(r, F.p), F.q, d)) for r in ql.W.basis]
 
 
-def _ql_from_poly_span(F, conductor, polys):
-    rows = [prime_coordinates(F, p, conductor.gen) for p in polys]
-    nd = F.n * conductor.gen.degree
-    W = subspace(field_from_label(f"{F.p}^1"), nd, rows)
-    level = largest_ideal_inside(F, conductor, W)
-    return W, level
+def _span_mod(F, modulus, polys):
+    """Span of the polynomials modulo the modulus, in prime coordinates."""
+    rows = [prime_coordinates(F, p, modulus) for p in polys]
+    return subspace(field(F.p), F.n * modulus.degree, rows)
 
 
 def transform_quasi_level(auto, ql):
@@ -428,32 +428,27 @@ def transform_quasi_level(auto, ql):
     (translations are untouched), and corner maps (new conductor gains the
     t-power needed to clear the affected degrees).  Conjugation and the
     transpose-inverse move translations out of triangular form, so no
-    closed form is returned for them.
+    closed form is returned for them.  The image of W + (f) modulo the new
+    conductor is spanned by the images of the lifted basis of W and of a
+    basis of (f) modulo the new conductor.
     """
     F = ql.F
+    f = ql.conductor.gen
     if isinstance(auto, DetTwistAuto):
         return ql
     if isinstance(auto, RingAuto):
-        f2 = auto.apply_poly(ql.conductor.gen).monic()
-        cond2 = MonicIdeal(f2)
-        polys = [auto.apply_poly(p) for p in _lift_rows(ql)]
-        W, level = _ql_from_poly_span(F, cond2, polys)
-        return QuasiLevel(F, cond2, W, level, ql.core_size)
-    if isinstance(auto, NonStandardAuto):
-        f = ql.conductor.gen
+        cond2 = MonicIdeal(auto.apply_poly(f))
+    elif isinstance(auto, NonStandardAuto):
         val = 0
         while val < len(f.coeffs) and f.coeffs[val] == 0:
             val += 1
         k0 = max(0, auto.affected_degree + 1 - val)
         cond2 = MonicIdeal(f * t_power(F, k0))
-        polys = [auto.apply_poly(p) for p in _lift_rows(ql)]
-        for i in range(k0):
-            base = auto.apply_poly(f * t_power(F, i))
-            for k in range(F.n):
-                polys.append(base.scale(F.p**k))
-        W, level = _ql_from_poly_span(F, cond2, polys)
-        return QuasiLevel(F, cond2, W, level, ql.core_size)
-    raise DomainError("no closed-form quasi-level transform for this automorphism")
+    else:
+        raise DomainError("no closed-form quasi-level transform for this automorphism")
+    polys = [*_lift_rows(ql), *ideal_basis(F, f, cond2.gen.degree)]
+    W = _span_mod(F, cond2.gen, [auto.apply_poly(p) for p in polys])
+    return QuasiLevel(F, cond2, W, largest_ideal_inside(F, cond2, W), ql.core_size)
 
 
 def quasi_levels_agree(q1, q2):
@@ -461,17 +456,11 @@ def quasi_levels_agree(q1, q2):
     if q1.F is not q2.F:
         return False
     F = q1.F
-    common = q1.conductor.intersect(q2.conductor)
-    M = common.gen
+    M = q1.conductor.intersect(q2.conductor).gen
 
     def span_mod_common(ql):
-        polys = list(_lift_rows(ql))
         f = ql.conductor.gen
-        for i in range(M.degree - f.degree):
-            for k in range(F.n):
-                polys.append((f * t_power(F, i)).scale(F.p**k))
-        rows = [prime_coordinates(F, p, M) for p in polys]
-        return subspace(field_from_label(f"{F.p}^1"), F.n * M.degree, rows)
+        return _span_mod(F, M, [*_lift_rows(ql), *ideal_basis(F, f, M.degree)])
 
     return span_mod_common(q1) == span_mod_common(q2)
 
@@ -584,12 +573,14 @@ def corner_map_search(handle, ql, config=DEFAULT_CONFIG):
     """Corner-map search for a non-congruence handle with quasi-level ql.
 
     Candidate maps send a basis of the quasi-level onto monomial sets.
-    Each candidate is applied in full and the congruence decision rerun;
-    a hit is a machine-checkable certificate that the subgroup is not
-    genuine.  If no pure corner map works, the same monomial-target
-    search is repeated after each variable substitution t -> a t + b, so
-    the outcome does not depend on the coordinate the handle happens to
-    be written in; those hits certify with a two-step composite.
+    Each candidate is applied in full and decided at the level the
+    transform law gives (transform_quasi_level), which is exact; a hit is
+    decided again from scratch and is a machine-checkable certificate that
+    the subgroup is not genuine.  If no pure corner map works, the same
+    monomial-target search is repeated after each variable substitution
+    t -> a t + b, so the outcome does not depend on the coordinate the
+    handle happens to be written in; those hits certify with a two-step
+    composite.
     """
     F = handle.F
     if F.n != 1:
@@ -620,7 +611,9 @@ def corner_map_search(handle, ql, config=DEFAULT_CONFIG):
             tried += 1
             try:
                 moved = apply_auto(auto, shifted, config)
-                rep = is_congruence(moved, config)
+                rep = congruence_at(moved, transform_quasi_level(auto, shifted_ql), config)
+                if rep.congruence:
+                    rep = is_congruence(moved, config)
             except CapExceeded:
                 continue
             if rep.congruence:

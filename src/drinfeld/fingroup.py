@@ -51,9 +51,6 @@ class FinGroup:
     def inv(self, x):
         return int(self.inv_arr(np.int64(x)))
 
-    def conj(self, x, g):
-        return self.mul(self.mul(self.inv(g), x), g)
-
     def commutator(self, x, y):
         return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
 

@@ -29,7 +29,7 @@ from math import gcd
 from .autos import corner_map_search, refutation_to_json
 from .config import DEFAULT_CONFIG
 from .errors import CapExceeded, DomainError
-from .fields import field, field_from_label, prime_factors
+from .fields import field_from_label, prime_factors
 from .fingroup import (
     QuotientGroup,
     composition_factors,
@@ -39,15 +39,16 @@ from .fingroup import (
 )
 from .amalgam import ReductionHom
 from .mat2 import diag_mat
-from .poly import MonicIdeal, Poly, digits_text, residue_ring
+from .poly import MonicIdeal, digits_text, residue_ring
 from .subgroups import (
     SubgroupHandle,
     congruence_at,
     from_quasilevel_abelian,
+    largest_ideal_inside,
     principal_congruence_handle,
     quasi_level,
 )
-from .subspace import iter_subspaces, subspace
+from .subspace import iter_subspaces
 
 __all__ = [
     "Verdict",
@@ -417,29 +418,17 @@ def _codim_subspaces(F, d, codim):
                 yield W
 
 
-def _span_key(F, bound_degree, lifts, modulus):
-    """Canonical label of (span of lifts) + (modulus) below the bound degree."""
-    rows = []
-    for p in lifts:
-        rows.append(tuple(p.coeff(i) for i in range(bound_degree)))
-    for i in range(bound_degree - modulus.degree):
-        shifted = modulus.coeffs
-        row = [0] * bound_degree
-        for j, c in enumerate(shifted):
-            if i + j < bound_degree:
-                row[i + j] = c
-        rows.append(tuple(row))
-    return subspace(F, bound_degree, rows).basis
-
-
 def low_index_scan(q, kind="SL", max_index=4, bound=None, config=DEFAULT_CONFIG):
     """Classify every representable handle up to the index and modulus bound.
 
     Two families are scanned: kernels of abelian translation quotients
     (all quasi-level subspaces of codimension one and two below each
     modulus dividing the bound; prime fields only) and principal
-    reduction kernels.  Minima are over the scanned class only; they are
-    lower-bound evidence, not global minima.
+    reduction kernels.  A subspace W is kept at modulus m only when its
+    level is m itself: the set W + (m) arises from exactly the moduli its
+    level divides, so this judges each set once, at its smallest modulus.
+    Minima are over the scanned class only; they are lower-bound
+    evidence, not global minima.
     """
     F = field_from_label(str(q))
     if bound is None:
@@ -478,20 +467,15 @@ def low_index_scan(q, kind="SL", max_index=4, bound=None, config=DEFAULT_CONFIG)
         entries.append({**entry, **(extra or {})})
 
     if q <= 3 and kind == "SL":
-        D = bound.gen.degree
-        seen_spans = set()
         for m in moduli:
             d = m.gen.degree
             for codim in (1, 2):
                 if q**codim > max_index or codim > d:
                     continue
                 for W in _codim_subspaces(F, d, codim):
-                    handle = from_quasilevel_abelian(W, m.gen, kind)
-                    lifts = [Poly(F, row) for row in W.basis]
-                    key = _span_key(field(F.p), D, lifts, m.gen)
-                    if key in seen_spans:
+                    if largest_ideal_inside(F, m, W) != m:
                         continue
-                    seen_spans.add(key)
+                    handle = from_quasilevel_abelian(W, m.gen, kind)
                     basis = [digits_text(row) for row in W.basis]
                     judge(handle, "abelian-quotient", m, {"basis": basis})
 

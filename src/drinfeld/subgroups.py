@@ -11,6 +11,7 @@ ideal.
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from math import lcm
 
 import numpy as np
@@ -20,6 +21,7 @@ from .amalgam import (
     TableHom,
     hom_from_json,
     hom_to_json,
+    matrix_to_word,
     t_power_cycle,
 )
 from .config import DEFAULT_CONFIG, DEFAULT_GROUP_CAP
@@ -31,19 +33,18 @@ from .fingroup import (
     closure,
     contains_sorted,
     core_in,
-    derived_subgroup,
     first_outside,
     refuse_above,
     small_generating_set,
 )
-from .matgroups import ResidueMatrixGroup
-from .mat2 import domain_generator_matrices
+from .mat2 import domain_generator_matrices, mat_over_polys
 from .poly import (
     MonicIdeal,
     Poly,
     code_to_digits,
     digits_text,
     digits_to_code,
+    one,
     poly_gcd,
     residue_ring,
     t_power,
@@ -62,13 +63,19 @@ def prime_coordinates(F, a, modulus):
     return code_to_digits(code, F.p, F.n * modulus.degree)
 
 
-def prime_basis_polys(F, modulus):
-    """Polynomials mapping to the standard prime-field basis."""
-    out = []
-    for i in range(modulus.degree):
+def ideal_basis(F, g, degree):
+    """Basis over F_p of the multiples of g below the degree.
+
+    Yields the polynomials g * t^i * c for i < degree - deg g, with c
+    running over the basis 1, x, ..., x^(n-1) of F_q over F_p (field codes
+    p^k); for g = 1 they map to the standard prime-field basis of the
+    residues.  A generator, so a membership test can stop at the first
+    polynomial outside.
+    """
+    for i in range(degree - g.degree):
+        shifted = g * t_power(F, i)
         for k in range(F.n):
-            out.append(Poly(F, [0] * i + [F.p**k]))
-    return out
+            yield shifted.scale(F.p**k)
 
 
 def largest_ideal_inside(F, conductor, W):
@@ -76,15 +83,15 @@ def largest_ideal_inside(F, conductor, W):
 
     Every ideal of F_q[t] contained in an additive set that already
     contains the conductor ideal has generator dividing the conductor, so
-    scanning monic divisors is exhaustive.  The passing divisors are
-    closed under ideal sums, hence their gcd generates the largest one.
+    scanning monic divisors is exhaustive; a divisor g passes when W holds
+    a basis of (g)/(conductor).  The passing divisors are closed under
+    ideal sums, hence their gcd generates the largest one.
     """
     f = conductor.gen
-    basis = prime_basis_polys(F, f)
     winners = []
     for ideal in conductor.divisors():
         g = ideal.gen
-        if all(W.contains(prime_coordinates(F, g * b, f)) for b in basis):
+        if all(W.contains(prime_coordinates(F, b, f)) for b in ideal_basis(F, g, f.degree)):
             winners.append(g)
     if not winners:
         raise DomainError("no divisor of the conductor passed; conductor inconsistent")
@@ -248,7 +255,7 @@ def quasi_level(handle, config=DEFAULT_CONFIG):
         raise CapExceeded(
             f"quasi-level enumeration needs {total} residues, above the cap {config.enum_cap}"
         )
-    imgs = [hom.translation_image(b) for b in prime_basis_polys(F, f)]
+    imgs = [hom.translation_image(b) for b in ideal_basis(F, one(F), f.degree)]
     arr = np.array([G.identity_code()], dtype=np.int64)
     for img in imgs:
         parts = []
@@ -362,30 +369,30 @@ def scalar_congruence_handle(modulus, kind="SL"):
 def abelianized_constant_class(F):
     """Class map of the constant determinant-one group onto F_q, q <= 3.
 
-    Sends the upper translation by c to c; exists only when the constant
+    Sends the upper translation T(c) to c; exists only when the constant
     group has an abelian quotient of size q, which fails from q = 4 on.
+    The class of a matrix is read off its division steps
+    (amalgam.matrix_to_word), all taken mod q:
+
+    * a translation step T(c) contributes c;
+    * a rotation step w^-1 contributes 3: the lower translation
+      L(x) = w T(-x) w^-1 has class -x, and w = T(-1) L(1) T(-1) has
+      class -3;
+    * the last factor [[alpha, corner], [0, alpha^-1]] is
+      diag(alpha, alpha^-1) T(corner alpha^-1) and contributes
+      corner * alpha^-1, because the diagonal lies in the derived group
+      (trivial for q = 2, and -I in the quaternion group for q = 3).
     """
     if F.q > 3:
         raise DomainError("the constant group is perfect for q above 3")
-    G0 = ResidueMatrixGroup(residue_ring(t_power(F, 1)), "SL")
-    elems = G0.elements()
-    D = derived_subgroup(G0, elems)
-    t1 = int(G0.encode(1, 1, 0, 1))
-    t1_inv = G0.inv(t1)
     classes = {}
-    for code in elems:
-        x = int(code)
-        theta = None
-        y = x
-        for k in range(F.q):
-            if np.isin(np.int64(y), D):
-                theta = k
-                break
-            y = G0.mul(y, t1_inv)
-        if theta is None:
-            raise DomainError("constant class map failed; quotient is not cyclic of size q")
-        a, b, c, d = (int(v) for v in G0.decode(x))
-        classes[(a, b, c, d)] = theta
+    for key in product(range(F.q), repeat=4):
+        a, b, c, d = key
+        if F.sub(F.mul(a, d), F.mul(b, c)) != 1:
+            continue
+        *steps, (alpha, _, corner) = matrix_to_word(mat_over_polys(F, key))
+        theta = sum(3 if s is None else s.constant_term() for s in steps)
+        classes[key] = (theta + F.mul(corner.constant_term(), F.inv(alpha))) % F.q
     return classes
 
 

@@ -1,9 +1,12 @@
-"""Shared random generators and the transversal-based image oracle."""
+"""Shared random generators, the transversal-based image oracle, the
+derived-subgroup reference for the constant class map, the scan's former
+span-key rule and a call counter."""
 
+import sys
 from math import lcm
 
 from drinfeld.amalgam import ReductionHom
-from drinfeld.fingroup import closure
+from drinfeld.fingroup import closure, derived_subgroup
 from drinfeld.mat2 import (
     diag_mat,
     domain_generator_matrices,
@@ -12,7 +15,8 @@ from drinfeld.mat2 import (
     weyl,
 )
 from drinfeld.matgroups import ResidueMatrixGroup
-from drinfeld.poly import Poly, residue_ring
+from drinfeld.poly import Poly, residue_ring, t_power
+from drinfeld.subspace import subspace
 
 
 def schreier_congruence_image(hom, modulus_ideal):
@@ -49,6 +53,37 @@ def schreier_congruence_image(hom, modulus_ideal):
             back = reps[Q.mul(y, gc)]
             imgs.add(hom.eval_matrix(z * back.inv()))
     return closure(hom.target, sorted(imgs))
+
+
+def derived_constant_class(F):
+    """Reference class map of SL2(F_q), q <= 3, onto F_q: the least k with
+    x T(1)^-k in the derived subgroup, found by a coset walk."""
+    G0 = ResidueMatrixGroup(residue_ring(t_power(F, 1)), "SL")
+    elems = G0.elements()
+    D = derived_subgroup(G0, elems)
+    t1_inv = G0.inv(int(G0.encode(1, 1, 0, 1)))
+    classes = {}
+    for code in elems:
+        y = int(code)
+        for k in range(F.q):
+            if y in D:
+                break
+            y = G0.mul(y, t1_inv)
+        else:
+            raise AssertionError("the quotient by the derived group is not cyclic of size q")
+        classes[tuple(int(v) for v in G0.decode(int(code)))] = k
+    return classes
+
+
+def span_key(F, bound_degree, W, modulus):
+    """Reference label of the set W + (modulus) over a prime field: its
+    span below the bound degree, which the modulus divides.  The scan once
+    kept the first subspace per label; it now keeps a subspace whose level
+    is its modulus."""
+    rows = [row + (0,) * (bound_degree - len(row)) for row in W.basis]
+    for i in range(bound_degree - modulus.degree):
+        rows.append((modulus * t_power(F, i)).coeff_vector(bound_degree))
+    return subspace(F, bound_degree, rows).basis
 
 
 def random_poly(F, rng, max_deg=3):
@@ -96,3 +131,19 @@ def lifted(R, code):
 def reduced(R, m):
     """The polynomial matrix of remainders of m's entries mod R's modulus."""
     return mat_over_polys(R.F, [e % R.modulus for e in m.entries()])
+
+
+def count_calls(monkeypatch, fn):
+    """Replace fn in every drinfeld module that binds it; return the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "drinfeld" or name.startswith("drinfeld.")):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls

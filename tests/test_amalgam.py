@@ -268,9 +268,9 @@ def test_validation_translation_commute():
     R = h.target.R
     G = h.target
     w = mat_code(reduce_mat(weyl(R.F), R))
-    lower = tuple(
-        G.conj(v, w) for v in h.pre_tables[1]
-    )  # conjugated into lower triangulars
+    w_inv = G.inv(w)
+    # conjugated into lower triangulars
+    lower = tuple(G.mul(G.mul(w_inv, v), w) for v in h.pre_tables[1])
     with pytest.raises(ValidationError) as err:
         tampered(h, pre_tables=[h.pre_tables[0], lower])
     assert err.value.rule == "translation-commute"

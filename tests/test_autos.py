@@ -8,8 +8,9 @@ quasi-level of the transported handle from scratch.
 
 import numpy as np
 import pytest
-from helpers import random_gl2, random_poly, random_sl2
+from helpers import count_calls, random_gl2, random_poly, random_sl2
 
+from drinfeld import autos
 from drinfeld.amalgam import (
     ReductionHom,
     TableHom,
@@ -27,23 +28,25 @@ from drinfeld.autos import (
     auto_to_json,
     compose_with_inverse,
     corner_map_between,
+    corner_map_search,
     quasi_levels_agree,
     refute_genuineness,
     transform_quasi_level,
 )
-from drinfeld.config import DEFAULT_CONFIG
-from drinfeld.errors import DomainError
+from drinfeld.config import DEFAULT_CONFIG, RunConfig
+from drinfeld.errors import CapExceeded, DomainError
 from drinfeld.fields import field
 from drinfeld.mat2 import mat_over_polys, translation, weyl
 from drinfeld.poly import Poly, one, poly_from_string, residue_ring, t_power
 from drinfeld.subgroups import (
+    CongruenceReport,
     from_quasilevel_abelian,
     is_congruence,
     principal_congruence_handle,
     quasi_level,
 )
 from drinfeld.poly import MonicIdeal
-from drinfeld.subspace import subspace, zero_space
+from drinfeld.subspace import iter_subspaces, subspace, zero_space
 from drinfeld.verify import campaign_pairs
 
 F2 = field(2)
@@ -303,6 +306,48 @@ def test_refutation_q3_conductor2():
     for rows, status in expected.items():
         h = from_quasilevel_abelian(subspace(F3, 2, list(rows)), m)
         assert refute_genuineness(h).status == status
+
+
+def test_search_decides_candidates_at_the_transported_quasi_level(monkeypatch):
+    # every candidate is decided at the level the transform law gives and
+    # never recomputed; check the law against recomputing from scratch.
+    # Candidates after t -> t + 1 over F_3 have conductors of degree 12
+    # (3^12 residues each); those are left to the enumeration cap.
+    seen = []
+
+    def record(moved, ql, config):
+        seen.append((moved, ql))
+        return CongruenceReport(False, ql, 0, None)
+
+    monkeypatch.setattr(autos, "congruence_at", record)
+    for F, d in ((F2, 3), (F2, 4), (F3, 2)):
+        for W in [*iter_subspaces(F, d, d - 1), *iter_subspaces(F, d, d - 2)]:
+            h = from_quasilevel_abelian(W, t_power(F, d))
+            corner_map_search(h, quasi_level(h))
+    small = RunConfig(enum_cap=2**10)
+    checked = 0
+    for moved, ql in seen:
+        try:
+            recomputed = quasi_level(moved, small)
+        except CapExceeded:
+            continue
+        assert quasi_levels_agree(ql, recomputed)
+        checked += 1
+    assert checked > 300
+
+
+def test_search_recomputes_quasi_levels_only_for_shifts_and_hits(monkeypatch):
+    calls = count_calls(monkeypatch, quasi_level)
+    h = from_quasilevel_abelian(subspace(F3, 2, [(1, 0)]), P(F3, "001"))
+    ql = quasi_level(h)
+    outcome = corner_map_search(h, ql)
+    assert outcome.status == "no_refutation_found" and outcome.tried > len(calls)
+    # one per substitution t -> a t + b other than the identity
+    assert len(calls) == len(F3.units()) * len(F3.elements()) - 1
+    calls.clear()
+    h = from_quasilevel_abelian(subspace(F2, 3, [(1, 0, 0), (0, 1, 0)]), P(F2, "0001"))
+    assert corner_map_search(h, quasi_level(h)).status == "refuted"
+    assert len(calls) == 1
 
 
 def test_applied_handles_keep_index():

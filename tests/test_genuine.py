@@ -8,12 +8,11 @@ frozen against counts derived by hand from the subspace patterns.
 """
 
 import json
-import sys
 
 import numpy as np
 import pytest
 
-from helpers import schreier_congruence_image
+from helpers import count_calls, schreier_congruence_image, span_key
 
 from drinfeld.amalgam import ReductionHom
 from drinfeld.autos import InnerAuto, RingAuto, apply_auto, auto_from_json
@@ -38,17 +37,18 @@ from drinfeld.genuine import (
 )
 from drinfeld.mat2 import mat_over_polys, translation
 from drinfeld.matgroups import ResidueMatrixGroup
-from drinfeld.poly import MonicIdeal, poly_from_string, residue_ring, t_power
+from drinfeld.poly import MonicIdeal, one, poly_from_string, residue_ring, t_power
 from drinfeld.subgroups import (
     SubgroupHandle,
     congruence_image,
     from_quasilevel_abelian,
     is_congruence,
+    largest_ideal_inside,
     principal_congruence_handle,
     quasi_level,
     scalar_congruence_handle,
 )
-from drinfeld.subspace import subspace
+from drinfeld.subspace import iter_subspaces, subspace
 
 F2 = field(2)
 F3 = field(3)
@@ -218,22 +218,6 @@ def test_verdict_honest_unknown():
     v = verdict(h)
     assert v.outcome == "Unknown" and v.reason == "no-decision"
     assert any(p.startswith("refutation:no_refutation_found") for p in v.provenance)
-
-
-def count_calls(monkeypatch, fn):
-    """Replace fn in every drinfeld module that binds it; return the call log."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if mod is not None and (name == "drinfeld" or name.startswith("drinfeld.")):
-            for key, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, key, counted)
-    return calls
 
 
 def test_verdict_derives_quasi_level_and_congruence_once(monkeypatch):
@@ -414,6 +398,36 @@ def test_scan_principal_kernels_included():
             "reason": "is-congruence",
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "F, factors",
+    [
+        (F2, ["01"] * 5),
+        (F2, ["01", "11", "111"]),
+        (F2, ["01", "01", "111"]),
+        (F3, ["01"] * 3 + ["11"]),
+        (F3, ["101", "21"]),
+    ],
+    ids=["F2-t^5", "F2-t(t+1)(t^2+t+1)", "F2-t^2(t^2+t+1)", "F3-t^3(t+1)", "F3-(t^2+1)(t+2)"],
+)
+def test_scan_level_rule_keeps_the_first_modulus_per_span(F, factors):
+    # W + (m) is one set for every modulus m its level divides; the scan
+    # judges it once, at the smallest such m, where the level of W is m
+    bound = one(F)
+    for f in factors:
+        bound = bound * P(F, f)
+    by_key, by_level, seen = [], [], set()
+    for m in MonicIdeal(bound).divisors():
+        d = m.gen.degree
+        for W in [*iter_subspaces(F, d, d - 1), *iter_subspaces(F, d, d - 2)]:
+            key = span_key(F, bound.degree, W, m.gen)
+            if key not in seen:
+                seen.add(key)
+                by_key.append((m, W))
+            if largest_ideal_inside(F, m, W) == m:
+                by_level.append((m, W))
+    assert by_level == by_key
 
 
 def test_scan_requires_bound():

@@ -205,7 +205,7 @@ def test_weyl_conjugates_translations():
     tr = poly_from_string(F2, "01")
     t = mat_code(reduce_mat(translation(F2, tr), R))
     # conjugating an upper translation gives the matching lower one
-    assert code_entries(R, G.conj(t, w)) == (1, 0, R.reduce_poly(-tr), 1)
+    assert code_entries(R, G.mul(G.mul(G.inv(w), t), w)) == (1, 0, R.reduce_poly(-tr), 1)
 
 
 def test_kind_validation():

@@ -8,6 +8,7 @@ polynomial matrices and closes the images of the kernel generators.
 
 import numpy as np
 import pytest
+from helpers import derived_constant_class
 
 from drinfeld.amalgam import ReductionHom, t_power_cycle
 from drinfeld.config import RunConfig
@@ -15,17 +16,18 @@ from drinfeld.errors import CapExceeded, DomainError
 from drinfeld.fields import field
 from drinfeld.fingroup import closure
 from drinfeld.mat2 import translation, weyl
-from drinfeld.poly import MonicIdeal, Poly, poly_from_string, residue_ring
+from drinfeld.poly import MonicIdeal, Poly, one, poly_from_string, residue_ring, t_power
 from drinfeld.subgroups import (
     SubgroupHandle,
+    abelianized_constant_class,
     congruence_image,
     from_quasilevel_abelian,
     handle_from_codes,
     handle_from_json,
     handle_to_json,
     is_congruence,
+    ideal_basis,
     largest_ideal_inside,
-    prime_basis_polys,
     prime_coordinates,
     principal_congruence_handle,
     quasi_level,
@@ -118,12 +120,26 @@ def test_prime_coordinates_roundtrip():
     a = P(F3, "1201")
     vec = prime_coordinates(F3, a, mod)
     assert vec == (1, 2, 0)
-    basis = prime_basis_polys(F3, mod)
+    basis = ideal_basis(F3, one(F3), 3)
     assert [prime_coordinates(F3, b, mod) for b in basis] == [
         (1, 0, 0),
         (0, 1, 0),
         (0, 0, 1),
     ]
+
+
+def test_ideal_basis_spans_the_multiples():
+    # over F_4 (n = 2) the basis of (g) below t^3 spans exactly the prime
+    # coordinates of g * a for every a of degree below 3 - deg g
+    F4 = field(2, 2)
+    mod = t_power(F4, 3)
+    g = Poly(F4, [2, 1])
+    basis = [prime_coordinates(F4, b, mod) for b in ideal_basis(F4, g, 3)]
+    span = subspace(field(2), 6, basis)
+    assert span.dim == len(basis) == 4
+    cofactors = [Poly(F4, [a, b]) for a in range(4) for b in range(4)]
+    multiples = {prime_coordinates(F4, g * a, mod) for a in cofactors}
+    assert set(span.vectors()) == multiples
 
 
 def test_largest_ideal_inside():
@@ -223,6 +239,16 @@ def test_hyperplane_pattern_q3_conductor2():
         ((1, 2),): False,
         ((0, 1),): True,
     }
+
+
+def test_constant_class_map_matches_the_derived_subgroup():
+    # read off the division steps, against a coset walk over the derived group
+    for F in (F2, F3):
+        expected = derived_constant_class(F)
+        assert len(expected) == F.q * (F.q**2 - 1)
+        assert list(abelianized_constant_class(F).items()) == list(expected.items())
+    with pytest.raises(DomainError):
+        abelianized_constant_class(field(2, 2))
 
 
 def test_from_quasilevel_rejects_bad_input():
